@@ -144,7 +144,9 @@ type writer = {
   mutable active_count : int;
   mutable active_bytes : int;  (* active file size, header included *)
   mutable crc : int;  (* running CRC-32 of the active record region *)
-  mutable sealed : sealed_info list;  (* ascending index *)
+  sealed : sealed_info Queue.t;  (* ascending index: seal pushes, retire pops *)
+  mutable sealed_bytes : int;  (* total [si_bytes] over [sealed] *)
+  batch : Record.Buf.t;  (* record bytes of the commit in progress, reused *)
   mutable unsynced : int;
   mutable appended : int;
   mutable closed : bool;
@@ -167,16 +169,47 @@ let crc_add crc s =
     (Bytes.unsafe_of_string s)
     ~pos:0 ~len:(String.length s)
 
-let frontier w = w.active_base + w.active_count
-let sealed_segments w = List.length w.sealed
+(* The commit buffer starts at [batch_initial] bytes and grows with the
+   largest batch; a commit that leaves it above [batch_retained] hands the
+   storage back, so a burst's buffer does not stay resident. *)
+let batch_initial = 65536
+let batch_retained = 1 lsl 20
 
-let live_bytes w =
-  List.fold_left (fun acc s -> acc + s.si_bytes) w.active_bytes w.sealed
+let frontier w = w.active_base + w.active_count
+let sealed_segments w = Queue.length w.sealed
+let live_bytes w = w.active_bytes + w.sealed_bytes
 
 let gauges w =
   Metrics.set_journal_live w.metrics
-    ~segments:(List.length w.sealed + 1)
+    ~segments:(sealed_segments w + 1)
     ~bytes:(live_bytes w)
+
+let make_writer ~path ~io ~metrics ~fsync_every ~segment_bytes ~shape ~out
+    ~active_idx ~active_base ~active_count ~active_bytes ~crc ~sealed =
+  let w =
+    {
+      w_path = path;
+      io;
+      metrics;
+      fsync_every;
+      segment_bytes;
+      shape;
+      out;
+      active_idx;
+      active_base;
+      active_count;
+      active_bytes;
+      crc;
+      sealed = Queue.of_seq (List.to_seq sealed);
+      sealed_bytes = List.fold_left (fun acc s -> acc + s.si_bytes) 0 sealed;
+      batch = Record.Buf.create batch_initial;
+      unsynced = 0;
+      appended = 0;
+      closed = false;
+    }
+  in
+  gauges w;
+  w
 
 (* open a fresh active segment and make its header durable; the caller
    issues the directory fsync (usually batched with other entry changes) *)
@@ -203,28 +236,9 @@ let create ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
   if leftovers <> [] then io.Io.fsync_dir (Filename.dirname path);
   let out, hbytes = open_active ~io ~path ~idx:0 ~base:header.base header in
   io.Io.fsync_dir (Filename.dirname path);
-  let w =
-    {
-      w_path = path;
-      io;
-      metrics;
-      fsync_every;
-      segment_bytes;
-      shape = header;
-      out;
-      active_idx = 0;
-      active_base = header.base;
-      active_count = 0;
-      active_bytes = hbytes;
-      crc = 0;
-      sealed = [];
-      unsynced = 0;
-      appended = 0;
-      closed = false;
-    }
-  in
-  gauges w;
-  w
+  make_writer ~path ~io ~metrics ~fsync_every ~segment_bytes ~shape:header ~out
+    ~active_idx:0 ~active_base:header.base ~active_count:0 ~active_bytes:hbytes
+    ~crc:0 ~sealed:[]
 
 (* Seal protocol: footer (count + region CRC), fsync, close, rename [.open]
    → [.seg], open the successor active with its header, one directory
@@ -245,17 +259,16 @@ let seal_active w =
   let src = Segment.name w.w_path ~idx:w.active_idx Segment.Active in
   let dst = Segment.name w.w_path ~idx:w.active_idx Segment.Sealed in
   w.io.Io.rename ~src ~dst;
-  w.sealed <-
-    w.sealed
-    @ [
-        {
-          si_idx = w.active_idx;
-          si_base = w.active_base;
-          si_count = w.active_count;
-          si_bytes = w.active_bytes;
-          si_path = dst;
-        };
-      ];
+  Queue.push
+    {
+      si_idx = w.active_idx;
+      si_base = w.active_base;
+      si_count = w.active_count;
+      si_bytes = w.active_bytes;
+      si_path = dst;
+    }
+    w.sealed;
+  w.sealed_bytes <- w.sealed_bytes + w.active_bytes;
   Metrics.on_seal w.metrics;
   let idx = w.active_idx + 1 and base = w.active_base + w.active_count in
   let out, hbytes = open_active ~io:w.io ~path:w.w_path ~idx ~base w.shape in
@@ -271,17 +284,24 @@ let seal_active w =
 
 let check_open w = if w.closed then invalid_arg "journal writer is closed"
 
+(* The record's bytes are encoded into [w.batch], checksummed there in
+   place, and copied out once for the write. *)
 let append w e =
   check_open w;
-  let line = Record.encode_event e in
-  w.out.Io.write line;
+  let b = w.batch in
+  Record.Buf.clear b;
+  Record.add_record b e;
+  let bytes = Record.Buf.length b in
+  (* line and terminator go out as separate writes: each is an I/O
+     boundary a crash can land on, and the crash sweeps number them *)
+  w.out.Io.write (Bytes.sub_string b.Record.Buf.bytes 0 (bytes - 1));
   w.out.Io.write "\n";
   w.out.Io.flush ();
-  Metrics.on_append w.metrics ~bytes:(String.length line + 1);
+  Metrics.on_append w.metrics ~bytes;
   w.appended <- w.appended + 1;
   w.active_count <- w.active_count + 1;
-  w.active_bytes <- w.active_bytes + String.length line + 1;
-  w.crc <- crc_add (crc_add w.crc line) "\n";
+  w.active_bytes <- w.active_bytes + bytes;
+  w.crc <- Dvbp_tracestore.Crc32.update w.crc b.Record.Buf.bytes ~pos:0 ~len:bytes;
   w.unsynced <- w.unsynced + 1;
   if w.active_bytes >= w.segment_bytes then seal_active w
   else if w.unsynced >= w.fsync_every then begin
@@ -291,34 +311,34 @@ let append w e =
 
 (* Group commit: the whole batch becomes one buffered write and exactly
    one fsync — which, because fsync covers the file, also makes durable
-   any records a streaming [append] left unsynced. An empty batch does
-   nothing (no write, no fsync). The roll check runs once per batch, so
-   a segment may overshoot its target by at most one batch. *)
+   any records a streaming [append] left unsynced. Records are encoded
+   into the writer's reused [batch] buffer, the region CRC runs over it in
+   place, and the one copy is the string handed to [write]. An empty batch
+   does nothing (no write, no fsync). The roll check runs once per batch,
+   so a segment may overshoot its target by at most one batch. *)
 let append_batch w events =
   check_open w;
   match events with
   | [] -> ()
   | _ ->
-      let buf = Buffer.create 65536 in
-      let scratch = Record.Scratch.create () in
-      let n = ref 0 in
-      List.iter
-        (fun e ->
-          Record.Scratch.reset scratch;
-          Record.encode_into scratch e;
-          Record.seal_to buf scratch;
-          Buffer.add_char buf '\n';
-          incr n)
-        events;
-      let s = Buffer.contents buf in
-      let bytes = String.length s in
-      w.out.Io.write s;
+      let b = w.batch in
+      Record.Buf.clear b;
+      let rec encode n = function
+        | [] -> n
+        | e :: rest ->
+            Record.add_record b e;
+            encode (n + 1) rest
+      in
+      let n = encode 0 events in
+      let bytes = Record.Buf.length b in
+      w.out.Io.write (Record.Buf.contents b);
       w.out.Io.flush ();
-      Metrics.on_append_batch w.metrics ~records:!n ~bytes;
-      w.appended <- w.appended + !n;
-      w.active_count <- w.active_count + !n;
+      Metrics.on_append_batch w.metrics ~records:n ~bytes;
+      w.appended <- w.appended + n;
+      w.active_count <- w.active_count + n;
       w.active_bytes <- w.active_bytes + bytes;
-      w.crc <- crc_add w.crc s;
+      w.crc <- Dvbp_tracestore.Crc32.update w.crc b.Record.Buf.bytes ~pos:0 ~len:bytes;
+      Record.Buf.reset b ~cap:batch_retained;
       Metrics.time_fsync w.metrics (fun () -> w.out.Io.fsync ());
       w.unsynced <- 0;
       if w.active_bytes >= w.segment_bytes then seal_active w
@@ -344,7 +364,7 @@ let truncate w ~new_base =
   let idx = w.active_idx + 1 in
   let out, hbytes = open_active ~io:w.io ~path:w.w_path ~idx ~base:new_base w.shape in
   w.io.Io.fsync_dir dir;
-  List.iter (fun s -> w.io.Io.remove s.si_path) w.sealed;
+  Queue.iter (fun s -> w.io.Io.remove s.si_path) w.sealed;
   w.io.Io.remove old_active;
   w.io.Io.fsync_dir dir;
   Metrics.on_truncate w.metrics;
@@ -354,7 +374,8 @@ let truncate w ~new_base =
   w.active_count <- 0;
   w.active_bytes <- hbytes;
   w.crc <- 0;
-  w.sealed <- [];
+  Queue.clear w.sealed;
+  w.sealed_bytes <- 0;
   w.unsynced <- 0;
   gauges w
 
@@ -365,23 +386,23 @@ let truncate w ~new_base =
    short. Returns the number retired. *)
 let retire_sealed ?(max_segments = max_int) w ~upto =
   check_open w;
-  let rec split acc n = function
-    | s :: rest when n < max_segments && s.si_base + s.si_count <= upto ->
-        split (s :: acc) (n + 1) rest
-    | rest -> (List.rev acc, rest)
+  let covered s = s.si_base + s.si_count <= upto in
+  let rec remove n bytes =
+    match Queue.peek_opt w.sealed with
+    | Some s when n < max_segments && covered s ->
+        w.io.Io.remove s.si_path;
+        ignore (Queue.pop w.sealed);
+        remove (n + 1) (bytes + s.si_bytes)
+    | Some _ | None -> (n, bytes)
   in
-  let victims, keep = split [] 0 w.sealed in
-  match victims with
-  | [] -> 0
-  | _ ->
-      List.iter (fun s -> w.io.Io.remove s.si_path) victims;
+  match remove 0 0 with
+  | 0, _ -> 0
+  | n, bytes ->
       w.io.Io.fsync_dir (Filename.dirname w.w_path);
-      w.sealed <- keep;
-      Metrics.on_retire w.metrics
-        ~segments:(List.length victims)
-        ~bytes:(List.fold_left (fun acc s -> acc + s.si_bytes) 0 victims);
+      w.sealed_bytes <- w.sealed_bytes - bytes;
+      Metrics.on_retire w.metrics ~segments:n ~bytes;
       gauges w;
-      List.length victims
+      n
 
 let close w =
   if not w.closed then begin
@@ -409,13 +430,9 @@ let check_shape ~path (expected : header) (h : header) =
   else Ok ()
 
 let encode_region events =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Record.encode_event e);
-      Buffer.add_char buf '\n')
-    events;
-  Buffer.contents buf
+  let b = Record.Buf.create 4096 in
+  List.iter (Record.add_record b) events;
+  Record.Buf.contents b
 
 let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
     ?(segment_bytes = default_segment_bytes) ~path header =
@@ -427,30 +444,8 @@ let append_to ?(io = Real_io.v) ?metrics ?(fsync_every = 64)
     let w = create ~io ~metrics ~fsync_every ~segment_bytes ~path header in
     Ok (w, { header; events = []; dropped_torn = false; version = 2 })
   in
-  let mk_writer ~out ~active_idx ~active_base ~active_count ~active_bytes ~crc
-      ~sealed =
-    let w =
-      {
-        w_path = path;
-        io;
-        metrics;
-        fsync_every;
-        segment_bytes;
-        shape = header;
-        out;
-        active_idx;
-        active_base;
-        active_count;
-        active_bytes;
-        crc;
-        sealed;
-        unsynced = 0;
-        appended = 0;
-        closed = false;
-      }
-    in
-    gauges w;
-    w
+  let mk_writer =
+    make_writer ~path ~io ~metrics ~fsync_every ~segment_bytes ~shape:header
   in
   if io.Io.file_exists path then begin
     (* Legacy single-file journal: validate, heal, then migrate it into one

@@ -83,7 +83,8 @@ val pp_event : Format.formatter -> event -> unit
 (** {1 Record codec} *)
 
 val encode_event : event -> string
-(** One v2 record line, checksum included, no trailing newline. *)
+(** One v2 record line, checksum included, no trailing newline. Written by
+    the same encoder as the journal's appends ({!Record.add_record}). *)
 
 val decode_event : ?version:int -> string -> (event, string) result
 (** Inverse of {!encode_event}; validates syntax and checksum.
@@ -171,7 +172,9 @@ val append_batch : writer -> event list -> unit
     lose a batch-acked record. Batch sizing (the [fsync_every] per-batch
     ceiling) is the caller's job — see {!Server.handle_batch}. The roll
     check runs once per batch (after the fsync), so a segment may
-    overshoot [segment_bytes] by at most one batch. *)
+    overshoot [segment_bytes] by at most one batch. The batch is encoded
+    into a buffer the writer reuses across commits and copied out once;
+    a commit that grows that buffer past 1 MiB releases it afterwards. *)
 
 val sync : writer -> unit
 (** Forces an fsync now. *)

@@ -21,17 +21,26 @@ let kind_name = function
 
 let all_kinds = [ Arrive; Depart; Stats; Snapshot; Metrics; Other ]
 
+(* The first token ends at a blank, a CR or the end of the line. It is
+   compared in place by top-level loops (no closures, no [String.sub]), so
+   classifying a line allocates nothing. *)
+let rec token_end line i =
+  if i < String.length line && line.[i] <> ' ' && line.[i] <> '\r' then token_end line (i + 1)
+  else i
+
+let rec same_bytes line kw i len =
+  i = len || (line.[i] = kw.[i] && same_bytes line kw (i + 1) len)
+
+let token_is line len kw = String.length kw = len && same_bytes line kw 0 len
+
 let kind_of_line line =
-  let n = String.length line in
-  let stop = ref 0 in
-  while !stop < n && line.[!stop] <> ' ' && line.[!stop] <> '\r' do incr stop done;
-  match String.sub line 0 !stop with
-  | "ARRIVE" -> Arrive
-  | "DEPART" -> Depart
-  | "STATS" -> Stats
-  | "SNAPSHOT" -> Snapshot
-  | "METRICS" -> Metrics
-  | _ -> Other
+  let len = token_end line 0 in
+  if token_is line len "ARRIVE" then Arrive
+  else if token_is line len "DEPART" then Depart
+  else if token_is line len "STATS" then Stats
+  else if token_is line len "SNAPSHOT" then Snapshot
+  else if token_is line len "METRICS" then Metrics
+  else Other
 
 type t = {
   reg : R.t;

@@ -41,126 +41,206 @@ let pp_event ppf = function
 
 (* ---------- record codec ---------- *)
 
-(* 16-bit rolling checksum over the record body: enough to tell a torn
-   final record from a complete one (a truncated prefix that still passes
-   both the syntax check and the checksum is a 1-in-65536 coincidence per
-   crash, vs certainty of misparse for records whose prefix is valid). *)
-let checksum body =
-  String.fold_left (fun acc c -> ((acc * 31) + Char.code c) land 0xffff) 0 body
+(* 16-bit rolling checksum over the record body [b.(pos .. pos+len-1)]:
+   enough to tell a torn final record from a complete one (a truncated
+   prefix that still passes both the syntax check and the checksum is a
+   1-in-65536 coincidence per crash, vs certainty of misparse for records
+   whose prefix is valid). The writer runs it over the bytes it just
+   encoded, the reader over the line it read, so there is one definition.
+
+   The sum is [Σ c_i · 31^(len-1-i) mod 2^16]. Native ints wrap modulo
+   2^63, a multiple of 2^16, so one reduction at the end gives the same
+   value as reducing every step, and folding four bytes per step with
+   the powers 31^1..31^4 shortens the chain of dependent multiplies. *)
+let byte b i = Char.code (Bytes.unsafe_get b i)
+
+let checksum b ~pos ~len =
+  let acc = ref 0 and i = ref pos and stop = pos + len in
+  while !i + 4 <= stop do
+    let j = !i in
+    acc :=
+      (!acc * 923521) + (byte b j * 29791) + (byte b (j + 1) * 961)
+      + (byte b (j + 2) * 31) + byte b (j + 3);
+    i := j + 4
+  done;
+  while !i < stop do
+    acc := (!acc * 31) + byte b !i;
+    incr i
+  done;
+  !acc land 0xffff
 
 let hex_digits = "0123456789abcdef"
 
-(* Hot-path record writer: every journaled event pays encode cost before
-   its reply can be released, so fields go into a reusable byte scratch
-   (no per-record [Buffer], no [Printf]), the checksum runs over those
-   bytes in place, and the sealed record is blitted into the batch
-   buffer in one move. *)
-module Scratch = struct
-  type t = { mutable buf : Bytes.t; mutable pos : int }
+(* The [put_*] writers store a field at [b.(p ..)] and return the
+   position after it; the caller has made room. Nothing allocates. *)
 
-  let create () = { buf = Bytes.create 256; pos = 0 }
-  let reset t = t.pos <- 0
+let put_char b p c =
+  Bytes.unsafe_set b p c;
+  p + 1
 
-  let ensure t extra =
-    let need = t.pos + extra in
-    if need > Bytes.length t.buf then begin
-      let nb = Bytes.create (max need (2 * Bytes.length t.buf)) in
-      Bytes.blit t.buf 0 nb 0 t.pos;
-      t.buf <- nb
-    end
+let put_string b p s =
+  Bytes.unsafe_blit_string s 0 b p (String.length s);
+  p + String.length s
 
-  let add_char t c =
-    ensure t 1;
-    Bytes.unsafe_set t.buf t.pos c;
-    t.pos <- t.pos + 1
+(* at most 20 bytes: the sign and 19 digits of [min_int] *)
+let max_int_bytes = 20
 
-  let add_string t s =
-    let len = String.length s in
-    ensure t len;
-    Bytes.blit_string s 0 t.buf t.pos len;
-    t.pos <- t.pos + len
+(* digits least significant first, then reversed in place; worked on the
+   non-positive side so that [min_int] needs no special case *)
+let put_int b p n =
+  let p = if n < 0 then put_char b p '-' else p in
+  let m = ref (if n < 0 then n else -n) and q = ref p in
+  Bytes.unsafe_set b p (Char.unsafe_chr (48 - (!m mod 10)));
+  m := !m / 10;
+  incr q;
+  while !m <> 0 do
+    Bytes.unsafe_set b !q (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10;
+    incr q
+  done;
+  let lo = ref p and hi = ref (!q - 1) in
+  while !lo < !hi do
+    let c = Bytes.unsafe_get b !lo in
+    Bytes.unsafe_set b !lo (Bytes.unsafe_get b !hi);
+    Bytes.unsafe_set b !hi c;
+    incr lo;
+    decr hi
+  done;
+  !q
 
-  let add_int t n = add_string t (string_of_int n)
+(* decimal width of [n], sign included, for callers that size a string
+   before writing it with [put_int] *)
+let int_width n =
+  let rec go w m = if m > -10 then w else go (w + 1) (m / 10) in
+  if n < 0 then go 2 n else go 1 (-n)
 
-  let checksum t =
-    let acc = ref 0 in
-    for i = 0 to t.pos - 1 do
-      acc := ((!acc * 31) + Char.code (Bytes.unsafe_get t.buf i)) land 0xffff
-    done;
-    !acc
-end
+(* at most 24 bytes: [-0x1.] and 13 hex digits, then [p-1022] *)
+let max_time_bytes = 24
 
 (* v2 times are hex floats (e.g. [0x1.8p+1] for 3.0): they round-trip
    exactly like ["%.17g"] but cost a fraction to format, and
    [float_of_string] reads both spellings, so v1 journals (decimal
-   times) replay unchanged. Written digit-by-digit from the IEEE bits
-   rather than via ["%h"] because [Printf]'s dispatch alone costs more
-   than the record's other fields combined. *)
-let add_time s v =
+   times) replay unchanged. Written nibble by nibble from the IEEE bits
+   (sign and exponent are the top 12 bits; the 52-bit mantissa fits an
+   immediate [int]) rather than via ["%h"], whose [Printf] dispatch alone
+   costs more than the record's other fields combined. *)
+let put_time b p v =
   let bits = Int64.bits_of_float v in
-  if Int64.logand bits Int64.min_int <> 0L then Scratch.add_char s '-';
-  let e = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
-  let m = Int64.logand bits 0xF_FFFF_FFFF_FFFFL in
-  if e = 0x7ff then Scratch.add_string s (if m = 0L then "inf" else "nan")
-  else if e = 0 && m = 0L then Scratch.add_string s "0x0p+0"
+  let top = Int64.to_int (Int64.shift_right_logical bits 52) in
+  let e = top land 0x7ff and m = Int64.to_int bits land 0xF_FFFF_FFFF_FFFF in
+  let p = if top land 0x800 <> 0 then put_char b p '-' else p in
+  if e = 0x7ff then put_string b p (if m = 0 then "inf" else "nan")
+  else if e = 0 && m = 0 then put_string b p "0x0p+0"
   else begin
     (* subnormals keep the raw [0x0.<m>p-1022] form: still exact binary,
        still one [float_of_string] away from the original *)
-    let lead, exp = if e = 0 then ('0', -1022) else ('1', e - 1023) in
-    Scratch.add_string s "0x";
-    Scratch.add_char s lead;
-    if m <> 0L then begin
-      Scratch.add_char s '.';
-      let nib i = Int64.to_int (Int64.shift_right_logical m ((12 - i) * 4)) land 0xf in
-      let last = ref 12 in
-      while nib !last = 0 do decr last done;
-      for i = 0 to !last do Scratch.add_char s hex_digits.[nib i] done
-    end;
-    Scratch.add_char s 'p';
-    if exp >= 0 then Scratch.add_char s '+';
-    Scratch.add_int s exp
+    let p = put_string b p (if e = 0 then "0x0" else "0x1") in
+    let p =
+      if m = 0 then p
+      else begin
+        (* nibble [i] (0 = most significant) is [m lsr ((12 - i) * 4)];
+           trailing zero nibbles are not written *)
+        let last = ref 12 in
+        while (m lsr ((12 - !last) * 4)) land 0xf = 0 do decr last done;
+        let p = put_char b p '.' in
+        for i = 0 to !last do
+          Bytes.unsafe_set b (p + i)
+            (String.unsafe_get hex_digits ((m lsr ((12 - i) * 4)) land 0xf))
+        done;
+        p + !last + 1
+      end
+    in
+    let exp = if e = 0 then -1022 else e - 1023 in
+    let p = put_char b p 'p' in
+    put_int b (if exp >= 0 then put_char b p '+' else p) exp
   end
 
-let encode_into s = function
-  | Arrive { tenant; time; item_id; size; bin_id; opened_new_bin } ->
-      Scratch.add_string s "arrive,";
-      Scratch.add_string s tenant;
-      Scratch.add_char s ',';
-      add_time s time;
-      Scratch.add_char s ',';
-      Scratch.add_int s item_id;
-      Scratch.add_char s ',';
-      Scratch.add_int s bin_id;
-      Scratch.add_string s (if opened_new_bin then ",1" else ",0");
-      for i = 0 to Vec.dim size - 1 do
-        Scratch.add_char s ',';
-        Scratch.add_int s (Vec.get size i)
-      done
-  | Depart { tenant; time; item_id } ->
-      Scratch.add_string s "depart,";
-      Scratch.add_string s tenant;
-      Scratch.add_char s ',';
-      add_time s time;
-      Scratch.add_char s ',';
-      Scratch.add_int s item_id
+(* an upper bound on a sealed record's length, newline included *)
+let max_record_bytes = function
+  | Arrive { tenant; size; _ } ->
+      String.length tenant + max_time_bytes
+      + ((Vec.dim size + 2) * (max_int_bytes + 1))
+      + 24
+  | Depart { tenant; _ } -> String.length tenant + max_time_bytes + max_int_bytes + 24
 
-(* append the sealed record ([body ^ ",~%04x"] of the body checksum) to
-   [buf] — the only place record bytes are copied out of the scratch *)
-let seal_to buf s =
-  let sum = Scratch.checksum s in
-  Buffer.add_subbytes buf s.Scratch.buf 0 s.Scratch.pos;
-  Buffer.add_string buf ",~";
-  Buffer.add_char buf hex_digits.[(sum lsr 12) land 0xf];
-  Buffer.add_char buf hex_digits.[(sum lsr 8) land 0xf];
-  Buffer.add_char buf hex_digits.[(sum lsr 4) land 0xf];
-  Buffer.add_char buf hex_digits.[sum land 0xf]
+let put_body b p = function
+  | Arrive { tenant; time; item_id; size; bin_id; opened_new_bin } ->
+      let p = put_string b (put_string b p "arrive,") tenant in
+      let p = put_time b (put_char b p ',') time in
+      let p = put_int b (put_char b p ',') item_id in
+      let p = put_int b (put_char b p ',') bin_id in
+      let p = ref (put_string b p (if opened_new_bin then ",1" else ",0")) in
+      for i = 0 to Vec.dim size - 1 do
+        p := put_int b (put_char b !p ',') (Vec.get size i)
+      done;
+      !p
+  | Depart { tenant; time; item_id } ->
+      let p = put_string b (put_string b p "depart,") tenant in
+      let p = put_time b (put_char b p ',') time in
+      put_int b (put_char b p ',') item_id
+
+(* The record writer's buffer: growable bytes its owner reuses. Every
+   journaled event pays encode cost before its reply can be released, so
+   fields go straight into the bytes (no [string_of_int], no [Printf], no
+   per-record [Buffer]). *)
+module Buf = struct
+  type t = { mutable bytes : Bytes.t; mutable len : int; initial : int }
+
+  let create n = { bytes = Bytes.create n; len = 0; initial = n }
+  let clear b = b.len <- 0
+  let length b = b.len
+  let contents b = Bytes.sub_string b.bytes 0 b.len
+
+  let reserve b extra =
+    if b.len + extra > Bytes.length b.bytes then begin
+      let nb = Bytes.create (max (b.len + extra) (2 * Bytes.length b.bytes)) in
+      Bytes.blit b.bytes 0 nb 0 b.len;
+      b.bytes <- nb
+    end
+
+  let add_char b c =
+    reserve b 1;
+    b.len <- put_char b.bytes b.len c
+
+  let add_string b s =
+    reserve b (String.length s);
+    b.len <- put_string b.bytes b.len s
+
+  let add_int b n =
+    reserve b max_int_bytes;
+    b.len <- put_int b.bytes b.len n
+
+  (* empty the buffer, giving back storage a large batch grew past [cap]
+     bytes, so an idle writer holds at most [cap] however big its largest
+     commit was *)
+  let reset b ~cap =
+    b.len <- 0;
+    if Bytes.length b.bytes > cap then b.bytes <- Bytes.create b.initial
+end
+
+(* Append one sealed record line — [body ^ ",~%04x\n"] of the body
+   checksum — to [b]: one bounds check, the fields, then the checksum
+   over the record's span in place. The only record writer: the journal's
+   group commit and streaming append, resume-time region rewrites and
+   snapshot history all go through it. *)
+let add_record b e =
+  Buf.reserve b (max_record_bytes e);
+  let out = b.Buf.bytes and start = b.Buf.len in
+  let p = put_body out start e in
+  let sum = checksum out ~pos:start ~len:(p - start) in
+  Bytes.unsafe_set out p ',';
+  Bytes.unsafe_set out (p + 1) '~';
+  Bytes.unsafe_set out (p + 2) (String.unsafe_get hex_digits ((sum lsr 12) land 0xf));
+  Bytes.unsafe_set out (p + 3) (String.unsafe_get hex_digits ((sum lsr 8) land 0xf));
+  Bytes.unsafe_set out (p + 4) (String.unsafe_get hex_digits ((sum lsr 4) land 0xf));
+  Bytes.unsafe_set out (p + 5) (String.unsafe_get hex_digits (sum land 0xf));
+  Bytes.unsafe_set out (p + 6) '\n';
+  b.Buf.len <- p + 7
 
 let encode_event e =
-  let s = Scratch.create () in
-  encode_into s e;
-  let buf = Buffer.create (s.Scratch.pos + 6) in
-  seal_to buf s;
-  Buffer.contents buf
+  let b = Buf.create 64 in
+  add_record b e;
+  Bytes.sub_string b.Buf.bytes 0 (b.Buf.len - 1)
 
 let ( let* ) = Result.bind
 
@@ -187,10 +267,10 @@ let split_checksum line =
     when i + 1 < String.length line
          && line.[i + 1] = '~'
          && String.length line - i - 2 = 4 -> (
-      let body = String.sub line 0 i in
       let hex = String.sub line (i + 2) 4 in
       match int_of_string_opt ("0x" ^ hex) with
-      | Some sum when sum = checksum body -> Ok body
+      | Some sum when sum = checksum (Bytes.unsafe_of_string line) ~pos:0 ~len:i ->
+          Ok (String.sub line 0 i)
       | Some _ -> Error "checksum mismatch"
       | None -> Error (Printf.sprintf "bad checksum field %S" hex))
   | _ -> Error "missing checksum field"

@@ -403,10 +403,15 @@ let err t msg =
   t.errors <- t.errors + 1;
   (Printf.sprintf "ERR %s" msg, false)
 
+(* [PLACED <bin> <0|1>], written into one exactly-sized string *)
 let placed_reply (p : Session.placement) =
-  String.concat ""
-    [ "PLACED "; string_of_int p.Session.bin_id;
-      (if p.Session.opened_new_bin then " 1" else " 0") ]
+  let bin = p.Session.bin_id in
+  let w = Record.int_width bin in
+  let b = Bytes.create (w + 9) in
+  Bytes.blit_string "PLACED " 0 b 0 7;
+  ignore (Record.put_int b 7 bin : int);
+  Bytes.blit_string (if p.Session.opened_new_bin then " 1" else " 0") 0 b (w + 7) 2;
+  Bytes.unsafe_to_string b
 
 let handle_arrive t ~tenant ~time ~item_id ~size =
   match get_session t tenant with
@@ -572,14 +577,17 @@ let flush_staged t staged_rev ~waiters =
   | None, _ | _, [] -> ()
   | Some w, _ ->
       Metrics.set_group_commit_waiters t.obs waiters;
-      let rec chunks = function
-        | [] -> ()
-        | events ->
-            (* per-batch ceiling: one commit never spans more than
-               fsync_every records (satellite contract, pinned in tests) *)
-            let chunk, rest = split_at t.config.fsync_every events in
-            Metrics.time_journal_append t.obs (fun () -> Journal.append_batch w chunk);
-            chunks rest
+      let commit events =
+        Metrics.time_journal_append t.obs (fun () -> Journal.append_batch w events)
+      in
+      (* per-batch ceiling: one commit never spans more than fsync_every
+         records (pinned in tests); a batch within it is committed whole *)
+      let rec chunks events =
+        if List.compare_length_with events t.config.fsync_every <= 0 then commit events
+        else
+          let chunk, rest = split_at t.config.fsync_every events in
+          commit chunk;
+          chunks rest
       in
       chunks (List.rev staged_rev);
       Metrics.set_group_commit_waiters t.obs 0
@@ -737,6 +745,7 @@ let process_run t lines (replies : (string * bool) array) ~lo ~hi =
                   (String.sub line starts.(base) (stops.(base) - starts.(base)))
               with
               | exception _ -> None
+              | time when not (Float.is_finite time) -> None
               | time -> (
                   match get_session t tenant with
                   | Error _ -> None

@@ -44,35 +44,35 @@ let digest_of_session ~tenant session =
 let sort_digests ds =
   List.sort (fun a b -> String.compare a.tenant b.tenant) ds
 
+(* The history section is journal records, written by the one record
+   writer ({!Record.add_record}) into the buffer that holds the state
+   rows. *)
 let to_string s =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "policy,%s\n" s.policy);
-  Buffer.add_string buf (Printf.sprintf "seed,%d\n" s.seed);
-  Buffer.add_string buf "capacity";
-  Array.iter (fun c -> Buffer.add_string buf (Printf.sprintf ",%d" c)) (Vec.to_array s.capacity);
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "events,%d\n" (List.length s.history));
+  let b = Record.Buf.create 4096 in
+  let add = Record.Buf.add_string b in
+  add magic;
+  add "\n";
+  add (Printf.sprintf "policy,%s\n" s.policy);
+  add (Printf.sprintf "seed,%d\n" s.seed);
+  add "capacity";
+  Array.iter (fun c -> add (Printf.sprintf ",%d" c)) (Vec.to_array s.capacity);
+  add "\n";
+  add (Printf.sprintf "events,%d\n" (List.length s.history));
   List.iter
     (fun d ->
-      Buffer.add_string buf (Printf.sprintf "tenant,%s\n" d.tenant);
-      Buffer.add_string buf (Printf.sprintf "clock,%.17g\n" d.clock);
-      Buffer.add_string buf (Printf.sprintf "cost,%.17g\n" d.cost);
-      Buffer.add_string buf (Printf.sprintf "bins_opened,%d\n" d.bins_opened);
+      add (Printf.sprintf "tenant,%s\n" d.tenant);
+      add (Printf.sprintf "clock,%.17g\n" d.clock);
+      add (Printf.sprintf "cost,%.17g\n" d.cost);
+      add (Printf.sprintf "bins_opened,%d\n" d.bins_opened);
       List.iter
         (fun (bin_id, occupants) ->
-          Buffer.add_string buf (Printf.sprintf "open,%d" bin_id);
-          List.iter (fun id -> Buffer.add_string buf (Printf.sprintf ",%d" id)) occupants;
-          Buffer.add_char buf '\n')
+          add (Printf.sprintf "open,%d" bin_id);
+          List.iter (fun id -> add (Printf.sprintf ",%d" id)) occupants;
+          add "\n")
         d.open_bins)
     (sort_digests s.digests);
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Journal.encode_event e);
-      Buffer.add_char buf '\n')
-    s.history;
-  Buffer.contents buf
+  List.iter (Record.add_record b) s.history;
+  Record.Buf.contents b
 
 let ( let* ) = Result.bind
 

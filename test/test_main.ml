@@ -10,4 +10,5 @@ let () =
    @ Test_experiments.suites @ Test_session.suites @ Test_golden.suites
    @ Test_props.suites @ Test_service.suites @ Test_sim.suites
    @ Test_cli.suites @ Test_printers.suites @ Test_obs.suites
-   @ Test_tracestore.suites @ Test_reduce.suites @ Test_repack.suites)
+   @ Test_tracestore.suites @ Test_reduce.suites @ Test_repack.suites
+   @ Test_record.suites)
