@@ -147,6 +147,7 @@ type writer = {
   sealed : sealed_info Queue.t;  (* ascending index: seal pushes, retire pops *)
   mutable sealed_bytes : int;  (* total [si_bytes] over [sealed] *)
   batch : Record.Buf.t;  (* record bytes of the commit in progress, reused *)
+  rows : Record.columns;  (* [append_batch]'s events as columns, reused *)
   mutable unsynced : int;
   mutable appended : int;
   mutable closed : bool;
@@ -203,6 +204,7 @@ let make_writer ~path ~io ~metrics ~fsync_every ~segment_bytes ~shape ~out
       sealed = Queue.of_seq (List.to_seq sealed);
       sealed_bytes = List.fold_left (fun acc s -> acc + s.si_bytes) 0 sealed;
       batch = Record.Buf.create batch_initial;
+      rows = Record.columns 64;
       unsynced = 0;
       appended = 0;
       closed = false;
@@ -309,39 +311,48 @@ let append w e =
     w.unsynced <- 0
   end
 
-(* Group commit: the whole batch becomes one buffered write and exactly
-   one fsync — which, because fsync covers the file, also makes durable
-   any records a streaming [append] left unsynced. Records are encoded
-   into the writer's reused [batch] buffer, the region CRC runs over it in
-   place, and the one copy is the string handed to [write]. An empty batch
-   does nothing (no write, no fsync). The roll check runs once per batch,
-   so a segment may overshoot its target by at most one batch. *)
+(* Group commit: the record rows of [c] in [pos, pos + len) become one
+   buffered write and exactly one fsync — which, because fsync covers the
+   file, also makes durable any records a streaming [append] left
+   unsynced. Records are encoded straight from the columns into the
+   writer's reused [batch] buffer, the region CRC runs over it in place,
+   and the one copy is the string handed to [write]. A range with no
+   record rows does nothing (no write, no fsync). The roll check runs once
+   per batch, so a segment may overshoot its target by at most one
+   batch. *)
+let append_columns w c ~pos ~len =
+  check_open w;
+  let b = w.batch in
+  Record.Buf.clear b;
+  let n = ref 0 in
+  for k = pos to pos + len - 1 do
+    if Record.add_row b c k then incr n
+  done;
+  let n = !n in
+  if n > 0 then begin
+    let bytes = Record.Buf.length b in
+    w.out.Io.write (Record.Buf.contents b);
+    w.out.Io.flush ();
+    Metrics.on_append_batch w.metrics ~records:n ~bytes;
+    w.appended <- w.appended + n;
+    w.active_count <- w.active_count + n;
+    w.active_bytes <- w.active_bytes + bytes;
+    w.crc <- Dvbp_tracestore.Crc32.update w.crc b.Record.Buf.bytes ~pos:0 ~len:bytes;
+    Record.Buf.reset b ~cap:batch_retained;
+    Metrics.time_fsync w.metrics (fun () -> w.out.Io.fsync ());
+    w.unsynced <- 0;
+    if w.active_bytes >= w.segment_bytes then seal_active w
+  end
+
+(* the event-list form: the events become rows of the writer's own
+   column set, then one column commit *)
 let append_batch w events =
   check_open w;
-  match events with
-  | [] -> ()
-  | _ ->
-      let b = w.batch in
-      Record.Buf.clear b;
-      let rec encode n = function
-        | [] -> n
-        | e :: rest ->
-            Record.add_record b e;
-            encode (n + 1) rest
-      in
-      let n = encode 0 events in
-      let bytes = Record.Buf.length b in
-      w.out.Io.write (Record.Buf.contents b);
-      w.out.Io.flush ();
-      Metrics.on_append_batch w.metrics ~records:n ~bytes;
-      w.appended <- w.appended + n;
-      w.active_count <- w.active_count + n;
-      w.active_bytes <- w.active_bytes + bytes;
-      w.crc <- Dvbp_tracestore.Crc32.update w.crc b.Record.Buf.bytes ~pos:0 ~len:bytes;
-      Record.Buf.reset b ~cap:batch_retained;
-      Metrics.time_fsync w.metrics (fun () -> w.out.Io.fsync ());
-      w.unsynced <- 0;
-      if w.active_bytes >= w.segment_bytes then seal_active w
+  let c = w.rows in
+  let n = List.length events in
+  Record.ensure_rows c n;
+  List.iteri (Record.set_event c) events;
+  append_columns w c ~pos:0 ~len:n
 
 let sync w =
   check_open w;

@@ -84,7 +84,8 @@ val pp_event : Format.formatter -> event -> unit
 
 val encode_event : event -> string
 (** One v2 record line, checksum included, no trailing newline. Written by
-    the same encoder as the journal's appends ({!Record.add_record}). *)
+    the same row writer as the journal's appends ({!Record.add_row}, through
+    a one-row column set). *)
 
 val decode_event : ?version:int -> string -> (event, string) result
 (** Inverse of {!encode_event}; validates syntax and checksum.
@@ -164,10 +165,11 @@ val append : writer -> event -> unit
     seal the active segment and open the next one. *)
 
 val append_batch : writer -> event list -> unit
-(** Group commit: appends the whole batch as one buffered write and
-    issues exactly {e one} fsync — after which every record in the batch
-    (and any earlier unsynced streaming append; fsync covers the file) is
-    durable. An empty batch is a no-op (no write, no fsync). Callers
+(** Group commit of an event list: the events become rows of a column set
+    the writer reuses, then {!append_columns}. Appends the whole batch as
+    one buffered write and issues exactly {e one} fsync — after which
+    every record in the batch (and any earlier unsynced streaming append;
+    fsync covers the file) is durable. An empty batch is a no-op (no write, no fsync). Callers
     release replies only after this returns, so a power cut can never
     lose a batch-acked record. Batch sizing (the [fsync_every] per-batch
     ceiling) is the caller's job — see {!Server.handle_batch}. The roll
@@ -175,6 +177,16 @@ val append_batch : writer -> event list -> unit
     overshoot [segment_bytes] by at most one batch. The batch is encoded
     into a buffer the writer reuses across commits and copied out once;
     a commit that grows that buffer past 1 MiB releases it afterwards. *)
+
+val append_columns : writer -> Record.columns -> pos:int -> len:int -> unit
+(** Group commit straight from columns: the record rows of the column set
+    in [\[pos, pos + len)] (rows whose kind byte is ['A'] or ['D'], in row
+    order; other rows are skipped) are encoded into the writer's reused
+    buffer and committed exactly like {!append_batch} — one write, one
+    fsync, one roll check — with no [event] built per row. A range with no
+    record rows is a no-op. {!Server.handle_batch} commits through this;
+    {!append_batch} and {!encode_event} are wrappers over the same row
+    writer. *)
 
 val sync : writer -> unit
 (** Forces an fsync now. *)

@@ -123,11 +123,11 @@ let max_time_bytes = 24
    times) replay unchanged. Written nibble by nibble from the IEEE bits
    (sign and exponent are the top 12 bits; the 52-bit mantissa fits an
    immediate [int]) rather than via ["%h"], whose [Printf] dispatch alone
-   costs more than the record's other fields combined. *)
-let put_time b p v =
-  let bits = Int64.bits_of_float v in
-  let top = Int64.to_int (Int64.shift_right_logical bits 52) in
-  let e = top land 0x7ff and m = Int64.to_int bits land 0xF_FFFF_FFFF_FFFF in
+   costs more than the record's other fields combined. The bits come in
+   as two immediates ([top], [m]) so that a time read from a [float array]
+   column is never boxed on its way here. *)
+let put_time_bits b p ~top ~m =
+  let e = top land 0x7ff in
   let p = if top land 0x800 <> 0 then put_char b p '-' else p in
   if e = 0x7ff then put_string b p (if m = 0 then "inf" else "nan")
   else if e = 0 && m = 0 then put_string b p "0x0p+0"
@@ -155,29 +155,6 @@ let put_time b p v =
     put_int b (if exp >= 0 then put_char b p '+' else p) exp
   end
 
-(* an upper bound on a sealed record's length, newline included *)
-let max_record_bytes = function
-  | Arrive { tenant; size; _ } ->
-      String.length tenant + max_time_bytes
-      + ((Vec.dim size + 2) * (max_int_bytes + 1))
-      + 24
-  | Depart { tenant; _ } -> String.length tenant + max_time_bytes + max_int_bytes + 24
-
-let put_body b p = function
-  | Arrive { tenant; time; item_id; size; bin_id; opened_new_bin } ->
-      let p = put_string b (put_string b p "arrive,") tenant in
-      let p = put_time b (put_char b p ',') time in
-      let p = put_int b (put_char b p ',') item_id in
-      let p = put_int b (put_char b p ',') bin_id in
-      let p = ref (put_string b p (if opened_new_bin then ",1" else ",0")) in
-      for i = 0 to Vec.dim size - 1 do
-        p := put_int b (put_char b !p ',') (Vec.get size i)
-      done;
-      !p
-  | Depart { tenant; time; item_id } ->
-      let p = put_string b (put_string b p "depart,") tenant in
-      let p = put_time b (put_char b p ',') time in
-      put_int b (put_char b p ',') item_id
 
 (* The record writer's buffer: growable bytes its owner reuses. Every
    journaled event pays encode cost before its reply can be released, so
@@ -218,15 +195,118 @@ module Buf = struct
     if Bytes.length b.bytes > cap then b.bytes <- Bytes.create b.initial
 end
 
+(* {2 Record columns}
+
+   A batch of records as parallel arrays, one row per record: what the
+   server's group commit fills while it parses and places a batch, and
+   what the journal encodes without building an [event] per row. Row [k]
+   is an arrival record when [kind.[k] = 'A'], a departure record when it
+   is ['D']; any other byte marks a row with no record (a refused or
+   malformed request), which the writer skips. [tenant.(k)] indexes
+   [names]. *)
+type columns = {
+  mutable kind : Bytes.t;
+  mutable tenant : int array;
+  mutable time : float array;
+  mutable item : int array;
+  mutable bin : int array;  (* arrivals: the bin the policy chose *)
+  mutable fresh : Bytes.t;  (* arrivals: ['1'] opened a new bin, ['0'] did not *)
+  mutable size : Vec.t array;  (* arrivals *)
+  mutable names : string array;  (* the tenant-name table [tenant] indexes *)
+}
+
+let no_size = Vec.zero ~dim:1
+
+let columns n =
+  let n = max n 1 in
+  {
+    kind = Bytes.make n ' ';
+    tenant = Array.make n 0;
+    time = Array.make n 0.0;
+    item = Array.make n 0;
+    bin = Array.make n 0;
+    fresh = Bytes.make n '0';
+    size = Array.make n no_size;
+    names = [||];
+  }
+
+(* room for [n] rows; contents are not kept (every batch fills its rows
+   afresh), only [names] is *)
+let ensure_rows c n =
+  if Bytes.length c.kind < n then begin
+    let n = max n (2 * Bytes.length c.kind) in
+    c.kind <- Bytes.make n ' ';
+    c.tenant <- Array.make n 0;
+    c.time <- Array.make n 0.0;
+    c.item <- Array.make n 0;
+    c.bin <- Array.make n 0;
+    c.fresh <- Bytes.make n '0';
+    c.size <- Array.make n no_size
+  end
+
+(* row [k] := [e], its tenant in [names.(k)] *)
+let set_event c k e =
+  if k >= Array.length c.names then begin
+    let names = Array.make (max (k + 1) (2 * Array.length c.names)) "" in
+    Array.blit c.names 0 names 0 (Array.length c.names);
+    c.names <- names
+  end;
+  c.tenant.(k) <- k;
+  match e with
+  | Arrive { tenant; time; item_id; size; bin_id; opened_new_bin } ->
+      Bytes.set c.kind k 'A';
+      c.names.(k) <- tenant;
+      c.time.(k) <- time;
+      c.item.(k) <- item_id;
+      c.bin.(k) <- bin_id;
+      Bytes.set c.fresh k (if opened_new_bin then '1' else '0');
+      c.size.(k) <- size
+  | Depart { tenant; time; item_id } ->
+      Bytes.set c.kind k 'D';
+      c.names.(k) <- tenant;
+      c.time.(k) <- time;
+      c.item.(k) <- item_id
+
+(* an upper bound on a sealed record's length, newline included *)
+let record_bound ~tenant ~dims =
+  String.length tenant + max_time_bytes + ((dims + 2) * (max_int_bytes + 1)) + 24
+
+let max_record_bytes = function
+  | Arrive { tenant; size; _ } -> record_bound ~tenant ~dims:(Vec.dim size)
+  | Depart { tenant; _ } -> record_bound ~tenant ~dims:0
+
+(* the IEEE bits of a time as [put_time_bits] takes them; small enough to
+   be inlined, so a time read from a [float array] is never boxed *)
+let time_top v = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52)
+let time_mantissa v = Int64.to_int (Int64.bits_of_float v) land 0xF_FFFF_FFFF_FFFF
+let put_time b p v = put_time_bits b p ~top:(time_top v) ~m:(time_mantissa v)
+
 (* Append one sealed record line — [body ^ ",~%04x\n"] of the body
-   checksum — to [b]: one bounds check, the fields, then the checksum
-   over the record's span in place. The only record writer: the journal's
-   group commit and streaming append, resume-time region rewrites and
-   snapshot history all go through it. *)
-let add_record b e =
-  Buf.reserve b (max_record_bytes e);
+   checksum — to [b]: one bounds check, the fields, then the checksum over
+   the record's span in place. The only place the record format is
+   written: the journal's group commit ([add_row], from columns) and
+   streaming append, resume-time region rewrites and snapshot history
+   ([add_record], from an event) all go through it. A departure has no
+   bin, flag or size. *)
+let put_record b ~arrive ~tenant ~top ~m ~item ~bin ~fresh ~size =
+  let dims = if arrive then Vec.dim size else 0 in
+  Buf.reserve b (record_bound ~tenant ~dims);
   let out = b.Buf.bytes and start = b.Buf.len in
-  let p = put_body out start e in
+  let p = put_string out start (if arrive then "arrive," else "depart,") in
+  let p = put_char out (put_string out p tenant) ',' in
+  let p = put_time_bits out p ~top ~m in
+  let p = put_int out (put_char out p ',') item in
+  let p =
+    if not arrive then p
+    else begin
+      let p = put_int out (put_char out p ',') bin in
+      let p = ref (put_char out (put_char out p ',') fresh) in
+      for i = 0 to dims - 1 do
+        p := put_int out (put_char out !p ',') (Vec.get size i)
+      done;
+      !p
+    end
+  in
   let sum = checksum out ~pos:start ~len:(p - start) in
   Bytes.unsafe_set out p ',';
   Bytes.unsafe_set out (p + 1) '~';
@@ -236,6 +316,25 @@ let add_record b e =
   Bytes.unsafe_set out (p + 5) (String.unsafe_get hex_digits (sum land 0xf));
   Bytes.unsafe_set out (p + 6) '\n';
   b.Buf.len <- p + 7
+
+(* row [k]'s record; false (nothing written) for a row with no record *)
+let add_row b c k =
+  let kind = Bytes.unsafe_get c.kind k in
+  (kind = 'A' || kind = 'D')
+  &&
+  let time = c.time.(k) in
+  put_record b ~arrive:(kind = 'A') ~tenant:c.names.(c.tenant.(k)) ~top:(time_top time)
+    ~m:(time_mantissa time) ~item:c.item.(k) ~bin:c.bin.(k)
+    ~fresh:(Bytes.unsafe_get c.fresh k) ~size:c.size.(k);
+  true
+
+let add_record b = function
+  | Arrive { tenant; time; item_id; size; bin_id; opened_new_bin } ->
+      put_record b ~arrive:true ~tenant ~top:(time_top time) ~m:(time_mantissa time)
+        ~item:item_id ~bin:bin_id ~fresh:(if opened_new_bin then '1' else '0') ~size
+  | Depart { tenant; time; item_id } ->
+      put_record b ~arrive:false ~tenant ~top:(time_top time) ~m:(time_mantissa time)
+        ~item:item_id ~bin:0 ~fresh:'0' ~size:no_size
 
 let encode_event e =
   let b = Buf.create 64 in
@@ -261,68 +360,241 @@ let rec collect_ints what = function
       let* xs = collect_ints what rest in
       Ok (x :: xs)
 
-let split_checksum line =
-  match String.rindex_opt line ',' with
-  | Some i
-    when i + 1 < String.length line
-         && line.[i + 1] = '~'
-         && String.length line - i - 2 = 4 -> (
-      let hex = String.sub line (i + 2) 4 in
-      match int_of_string_opt ("0x" ^ hex) with
-      | Some sum when sum = checksum (Bytes.unsafe_of_string line) ~pos:0 ~len:i ->
-          Ok (String.sub line 0 i)
-      | Some _ -> Error "checksum mismatch"
-      | None -> Error (Printf.sprintf "bad checksum field %S" hex))
-  | _ -> Error "missing checksum field"
+(* {2 In-place record reader}
+
+   Recovery reads every journaled record, so fields are scanned where
+   they lie in the segment text: no [String.split_on_char], no per-field
+   [String.sub]. A field the scanner does not read in one pass (a sign, an
+   overlong number, blanks, a non-canonical time) goes to [parse_int] or
+   [parse_float] on its substring, so every value and every error text is
+   what the field-list reader produced. *)
+
+let hex_value c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' -> Char.code c - 87
+  | 'A' .. 'F' -> Char.code c - 55
+  | _ -> -1
+
+(* [-]digits in [s, e), at most 18 of them; [min_int] (which 18 digits
+   cannot spell) when the field is anything else *)
+let plain_int text s e =
+  let neg = e > s && String.unsafe_get text s = '-' in
+  let s' = if neg then s + 1 else s in
+  if e <= s' || e - s' > 18 then min_int
+  else begin
+    let v = ref 0 and j = ref s' in
+    while !j < e && (let d = Char.code (String.unsafe_get text !j) - 48 in d >= 0 && d <= 9) do
+      v := (!v * 10) + Char.code (String.unsafe_get text !j) - 48;
+      incr j
+    done;
+    if !j < e then min_int else if neg then - !v else !v
+  end
+
+(* The canonical spelling [put_time] gives a normal float —
+   [[-]0x1[.h...]p(+|-)d...], at most 13 nibbles, exponent within
+   [-1022, 1023] — decoded exactly from its mantissa and exponent; nan for
+   anything else (zeros, subnormals, inf, nan, decimal v1 times), which the
+   caller reads with [float_of_string]. *)
+let hex_time text s e =
+  let neg = e > s && String.unsafe_get text s = '-' in
+  let i = if neg then s + 1 else s in
+  if
+    e - i < 5
+    || String.unsafe_get text i <> '0'
+    || String.unsafe_get text (i + 1) <> 'x'
+    || String.unsafe_get text (i + 2) <> '1'
+  then Float.nan
+  else begin
+    let j = ref (i + 3) and m = ref 0 and nibbles = ref 0 and ok = ref true in
+    if String.unsafe_get text !j = '.' then begin
+      incr j;
+      while !j < e && hex_value (String.unsafe_get text !j) >= 0 do
+        m := (!m lsl 4) lor hex_value (String.unsafe_get text !j);
+        incr nibbles;
+        incr j
+      done;
+      if !nibbles = 0 || !nibbles > 13 then ok := false
+    end;
+    if (not !ok) || !j >= e - 2 || String.unsafe_get text !j <> 'p' then Float.nan
+    else begin
+      let sign = String.unsafe_get text (!j + 1) in
+      (* digits only: [plain_int] would also take a second sign *)
+      let exp = if String.unsafe_get text (!j + 2) = '-' then -1 else plain_int text (!j + 2) e in
+      if (sign <> '+' && sign <> '-') || exp < 0 || exp > 1023 then Float.nan
+      else begin
+        let exp = if sign = '-' then -exp else exp in
+        if exp < -1022 then Float.nan
+        else
+          let bits =
+            Int64.logor
+              (Int64.shift_left (Int64.of_int (exp + 1023)) 52)
+              (Int64.of_int (!m lsl (4 * (13 - !nibbles))))
+          in
+          let v = Int64.float_of_bits bits in
+          if neg then -.v else v
+      end
+    end
+  end
+
+(* A field the reader cannot take raises [Bad] with the error text;
+   [decode_sub] turns it back into an [Error]. *)
+exception Bad of string
+
+let ok_or_bad = function Ok v -> v | Error msg -> raise (Bad msg)
+
+(* a record time field: canonical hex decoded in place, anything else
+   through [parse_float] *)
+let time_field what text s e =
+  let v = hex_time text s e in
+  if Float.is_nan v then ok_or_bad (parse_float what (String.sub text s (e - s))) else v
+
+let int_field what text s e =
+  let v = plain_int text s e in
+  if v = min_int then ok_or_bad (parse_int what (String.sub text s (e - s))) else v
+
+(* end of the comma-separated field starting at [s], stopping at [stop] *)
+let field_end text s stop =
+  let j = ref s in
+  while !j < stop && String.unsafe_get text !j <> ',' do incr j done;
+  !j
+
+let same_sub text s e kw =
+  e - s = String.length kw
+  &&
+  let j = ref 0 in
+  while !j < e - s && String.unsafe_get text (s + !j) = String.unsafe_get kw !j do incr j done;
+  !j = e - s
+
+(* What a reader keeps from record to record: the last few tenant names
+   it has seen, so the same bytes give back the same string, and the
+   array the size entries are read into. *)
+type reader = {
+  seen : string array;
+  mutable count : int;
+  mutable next : int;
+  mutable sizes : int array;
+}
+
+let reader () = { seen = Array.make 8 ""; count = 0; next = 0; sizes = [||] }
+
+let tenant_name r text s e =
+  let i = ref 0 in
+  while !i < r.count && not (same_sub text s e r.seen.(!i)) do incr i done;
+  if !i < r.count then r.seen.(!i)
+  else begin
+    let name = String.sub text s (e - s) in
+    r.seen.(r.next) <- name;
+    r.next <- (r.next + 1) mod Array.length r.seen;
+    r.count <- min (r.count + 1) (Array.length r.seen);
+    name
+  end
+
+let tenant_field r text s e =
+  if Tenant.valid_sub text ~pos:s ~len:(e - s) then tenant_name r text s e
+  else raise (Bad (Printf.sprintf "bad tenant %S" (String.sub text s (e - s))))
+
+(* [sum] of the four checksum characters in [s, s + 4), or [-1] *)
+let hex4 text s =
+  let a = hex_value (String.unsafe_get text s)
+  and b = hex_value (String.unsafe_get text (s + 1))
+  and c = hex_value (String.unsafe_get text (s + 2))
+  and d = hex_value (String.unsafe_get text (s + 3)) in
+  if a < 0 || b < 0 || c < 0 || d < 0 then -1 else (a lsl 12) lor (b lsl 8) lor (c lsl 4) lor d
+
+(* the body's end (the position of [",~"]) once the checksum holds *)
+let check_sum text pos stop =
+  let i = ref (stop - 1) in
+  while !i >= pos && String.unsafe_get text !i <> ',' do decr i done;
+  let i = !i in
+  if i >= pos && i + 1 < stop && String.unsafe_get text (i + 1) = '~' && stop - i - 2 = 4
+  then begin
+    let sum =
+      match hex4 text (i + 2) with
+      | -1 -> (
+          let hex = String.sub text (i + 2) 4 in
+          match int_of_string_opt ("0x" ^ hex) with
+          | Some v -> v
+          | None -> raise (Bad (Printf.sprintf "bad checksum field %S" hex)))
+      | v -> v
+    in
+    if sum <> checksum (Bytes.unsafe_of_string text) ~pos ~len:(i - pos) then
+      raise (Bad "checksum mismatch");
+    i
+  end
+  else raise (Bad "missing checksum field")
+
+(* arrive, after the kind (and tenant): fields from [s] to [stop] *)
+let arrive_fields r text ~tenant s stop ~dims =
+  let e = field_end text s stop in
+  let time = time_field "arrival time" text s e in
+  let s = e + 1 in
+  let e = field_end text s stop in
+  let item_id = int_field "item id" text s e in
+  let s = e + 1 in
+  let e = field_end text s stop in
+  let bin_id = int_field "bin id" text s e in
+  let s = e + 1 in
+  let e = field_end text s stop in
+  let opened_new_bin =
+    match int_field "opened-new-bin flag" text s e with
+    | 0 -> false
+    | 1 -> true
+    | n -> raise (Bad (Printf.sprintf "opened-new-bin flag must be 0 or 1, got %d" n))
+  in
+  if Array.length r.sizes <> dims then r.sizes <- Array.make dims 0;
+  let sizes = r.sizes and s = ref (e + 1) and negative = ref false in
+  for i = 0 to dims - 1 do
+    let e = field_end text !s stop in
+    let x = int_field "size entry" text !s e in
+    if x < 0 then negative := true;
+    sizes.(i) <- x;
+    s := e + 1
+  done;
+  if dims = 0 then raise (Bad "arrive record with no size");
+  if !negative then raise (Bad "negative size");
+  Arrive { tenant; time; item_id; size = Vec.of_array sizes; bin_id; opened_new_bin }
 
 (* v1 records carry no tenant field (they all belong to [Tenant.default]);
    v2 records put the tenant right after the kind. The version comes from
    the file's magic line — the two grammars are not self-distinguishing
    (a v1 arrive's timestamp sits where a v2 tenant would). *)
-let decode_event ?(version = 2) line =
-  let* body = split_checksum line in
-  let parse_tenant tenant =
-    Result.map_error (fun _ -> Printf.sprintf "bad tenant %S" tenant)
-      (Tenant.validate tenant)
-  in
-  let arrive ~tenant ~time ~item ~bin ~fresh ~sizes =
-    let* tenant = parse_tenant tenant in
-    let* time = parse_float "arrival time" time in
-    let* item_id = parse_int "item id" item in
-    let* bin_id = parse_int "bin id" bin in
-    let* fresh = parse_int "opened-new-bin flag" fresh in
-    let* opened_new_bin =
-      match fresh with
-      | 0 -> Ok false
-      | 1 -> Ok true
-      | n -> Error (Printf.sprintf "opened-new-bin flag must be 0 or 1, got %d" n)
-    in
-    let* sizes = collect_ints "size entry" sizes in
-    match sizes with
-    | [] -> Error "arrive record with no size"
-    | _ ->
-        if List.exists (fun s -> s < 0) sizes then Error "negative size"
-        else
-          Ok
-            (Arrive
-               { tenant; time; item_id; size = Vec.of_list sizes; bin_id; opened_new_bin })
-  in
-  let depart ~tenant ~time ~item =
-    let* tenant = parse_tenant tenant in
-    let* time = parse_float "departure time" time in
-    let* item_id = parse_int "item id" item in
-    Ok (Depart { tenant; time; item_id })
-  in
-  match (version, String.split_on_char ',' body) with
-  | 2, "arrive" :: tenant :: time :: item :: bin :: fresh :: sizes ->
-      arrive ~tenant ~time ~item ~bin ~fresh ~sizes
-  | 2, [ "depart"; tenant; time; item ] -> depart ~tenant ~time ~item
-  | 1, "arrive" :: time :: item :: bin :: fresh :: sizes ->
-      arrive ~tenant:Tenant.default ~time ~item ~bin ~fresh ~sizes
-  | 1, [ "depart"; time; item ] -> depart ~tenant:Tenant.default ~time ~item
-  | _, ("arrive" | "depart") :: _ -> Error "malformed record"
-  | _, kind :: _ -> Error (Printf.sprintf "unrecognised record kind %S" kind)
-  | _, [] -> Error "empty record"
+let decode_sub ?(version = 2) r text ~pos ~len =
+  match
+    let stop = check_sum text pos (pos + len) in
+    let fields = ref 1 in
+    for j = pos to stop - 1 do
+      if String.unsafe_get text j = ',' then incr fields
+    done;
+    let fields = !fields in
+    let kind_end = field_end text pos stop in
+    let arrive = same_sub text pos kind_end "arrive"
+    and depart = same_sub text pos kind_end "depart" in
+    let known = version = 1 || version = 2 in
+    (* the fields before the time: the kind, and the tenant in v2 *)
+    let lead = if version = 2 then 2 else 1 in
+    if known && ((arrive && fields >= lead + 4) || (depart && fields = lead + 2)) then begin
+      let tenant_end = if version = 2 then field_end text (kind_end + 1) stop else kind_end in
+      let tenant =
+        if version = 2 then tenant_field r text (kind_end + 1) tenant_end else Tenant.default
+      in
+      let s = tenant_end + 1 in
+      if arrive then arrive_fields r text ~tenant s stop ~dims:(fields - lead - 4)
+      else
+        let e = field_end text s stop in
+        let time = time_field "departure time" text s e in
+        Depart { tenant; time; item_id = int_field "item id" text (e + 1) stop }
+    end
+    else if arrive || depart then raise (Bad "malformed record")
+    else
+      raise
+        (Bad (Printf.sprintf "unrecognised record kind %S" (String.sub text pos (kind_end - pos))))
+  with
+  | e -> Ok e
+  | exception Bad msg -> Error msg
+
+let decode_event ?version line =
+  decode_sub ?version (reader ()) line ~pos:0 ~len:(String.length line)
 
 (* ---------- header rows (shared by the legacy file and segment formats) ---------- *)
 
@@ -389,6 +661,30 @@ let header_row ~line p trimmed =
         Ok ()
   | _ -> Error (Printf.sprintf "line %d: unrecognised header row %S" line trimmed)
 
-let is_record trimmed =
-  String.length trimmed >= 7
-  && (String.sub trimmed 0 7 = "arrive," || String.sub trimmed 0 7 = "depart,")
+(* whether [text.[pos .. pos+len)] starts like a record, read in place *)
+let record_at text ~pos ~len =
+  len >= 7
+  && (same_sub text pos (pos + 7) "arrive," || same_sub text pos (pos + 7) "depart,")
+
+let is_record trimmed = record_at trimmed ~pos:0 ~len:(String.length trimmed)
+
+(* String.trim's blanks *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* the bounds [String.trim] would keep of [text.[pos .. stop)] *)
+let trim_start text pos stop =
+  let i = ref pos in
+  while !i < stop && is_blank (String.unsafe_get text !i) do incr i done;
+  !i
+
+let trim_stop text pos stop =
+  let i = ref stop in
+  while !i > pos && is_blank (String.unsafe_get text (!i - 1)) do decr i done;
+  !i
+
+(* where the line starting at [pos] ends: its newline, or the end of
+   [text] *)
+let line_stop text pos =
+  let n = String.length text and i = ref pos in
+  while !i < n && String.unsafe_get text !i <> '\n' do incr i done;
+  !i

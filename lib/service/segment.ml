@@ -66,8 +66,8 @@ let header_string h = magic ^ "\n" ^ Record.header_rows h
 
 let footer_string ~count ~crc = Printf.sprintf "seal,%d,%08x\n" count crc
 
-let is_footer trimmed =
-  String.length trimmed >= 5 && String.sub trimmed 0 5 = "seal,"
+(* whether the trimmed line [text.[a .. b)] is a footer, read in place *)
+let is_footer text a b = b - a >= 5 && Record.same_sub text a (a + 5) "seal,"
 
 let parse_footer trimmed =
   match String.split_on_char ',' trimmed with
@@ -97,28 +97,29 @@ let ( let* ) = Result.bind
 (* [expect_sealed] turns every healing path into a hard error and requires
    the footer — the read side of the seal invariant. {!Log} passes [false]
    for the active segment (and, with the test-only sensitivity hook on,
-   for sealed ones too, which is exactly what the sweep must catch). *)
+   for sealed ones too, which is exactly what the sweep must catch).
+
+   Lines are walked where they lie in [text]: a record line is decoded in
+   place ({!Record.decode_sub}), and only header rows, the footer and
+   error messages are cut out as strings. *)
 let parse ~expect_sealed text =
-  if String.trim text = "" then
+  let n = String.length text in
+  if Record.trim_start text 0 n = n then
     if expect_sealed then Error "empty sealed segment" else Ok Incomplete
   else begin
-    let n = String.length text in
     let terminated = text.[n - 1] = '\n' in
-    (* (line, start offset, is_last) triples *)
-    let lines =
-      let acc = ref [] and start = ref 0 in
-      (try
-         while true do
-           let nl = String.index_from text !start '\n' in
-           acc := (String.sub text !start (nl - !start), !start) :: !acc;
-           start := nl + 1
-         done
-       with Not_found ->
-         if !start < n then acc := (String.sub text !start (n - !start), !start) :: !acc);
-      List.rev !acc
-    in
-    let last_index = List.length lines - 1 in
     let p = Record.empty_partial () in
+    let reader = Record.reader () in
+    (* the header, once a record or the footer has found it complete *)
+    let header = ref None in
+    let complete_header () =
+      match !header with
+      | Some h -> Ok h
+      | None ->
+          let r = Record.finish_header p in
+          (match r with Ok h -> header := Some h | Error _ -> ());
+          r
+    in
     (* record region: [region_lo] is set when the first record (or the
        footer of an empty sealed segment) is reached; [region_hi] advances
        past each accepted record so a healed tail is excluded *)
@@ -138,95 +139,103 @@ let parse ~expect_sealed text =
                { header; events = List.rev events; sealed = false; dropped_torn;
                  unterminated; region })
     in
-    let rec go i ~events = function
-      | [] ->
-          if expect_sealed then Error "sealed segment is missing its seal footer"
-          else finish_active ~events ~dropped_torn:false ~unterminated:false
-      | (raw, off) :: rest -> (
-          let lineno = i + 1 in
-          let is_last = i = last_index in
-          let line_end = if is_last && not terminated then n else off + String.length raw + 1 in
-          let torn_candidate = is_last && (not terminated) && not expect_sealed in
-          let trimmed = String.trim raw in
-          let tear_or error =
-            if torn_candidate then
-              finish_active ~events ~dropped_torn:true ~unterminated:false
-            else error ()
-          in
-          if i = 0 then
-            if trimmed = magic then go 1 ~events rest
-            else if torn_candidate then Ok Incomplete
-            else Error (Printf.sprintf "line 1: expected %S, got %S" magic trimmed)
-          else if trimmed = "" || trimmed.[0] = '#' then begin
-            if !region_lo >= 0 then
-              tear_or (fun () ->
-                  Error (Printf.sprintf "line %d: blank or comment line inside the record region" lineno))
-            else go (i + 1) ~events rest
-          end
-          else if Record.is_record trimmed then begin
-            match Record.finish_header p with
-            | Error _ ->
-                tear_or (fun () ->
-                    Error (Printf.sprintf "line %d: record before a complete header" lineno))
-            | Ok _ -> (
-                match Record.decode_event ~version:2 trimmed with
-                | Ok e ->
-                    if !region_lo < 0 then region_lo := off;
-                    region_hi := line_end;
-                    if is_last && not terminated then
-                      finish_active ~events:(e :: events) ~dropped_torn:false
-                        ~unterminated:true
-                    else go (i + 1) ~events:(e :: events) rest
-                | Error msg ->
-                    tear_or (fun () -> Error (Printf.sprintf "line %d: %s" lineno msg)))
-          end
-          else if is_footer trimmed then begin
-            match Record.finish_header p with
-            | Error _ ->
-                tear_or (fun () ->
-                    Error (Printf.sprintf "line %d: seal footer before a complete header" lineno))
-            | Ok header -> (
-                if is_last && not terminated then
-                  (* a torn footer: the seal never completed — the segment
-                     is still active (the rename cannot have happened, it
-                     follows the footer's fsync) *)
-                  tear_or (fun () ->
-                      Error (Printf.sprintf "line %d: unterminated seal footer" lineno))
-                else if not is_last then
-                  Error (Printf.sprintf "line %d: data after the seal footer" lineno)
-                else
-                  match parse_footer trimmed with
-                  | None -> Error (Printf.sprintf "line %d: malformed seal footer %S" lineno trimmed)
-                  | Some (count, crc) ->
-                      if !region_lo < 0 then begin
-                        region_lo := off;
-                        region_hi := off
-                      end;
-                      let region = String.sub text !region_lo (!region_hi - !region_lo) in
-                      let events = List.rev events in
-                      if List.length events <> count then
-                        Error
-                          (Printf.sprintf
-                             "seal footer says %d records but the segment holds %d"
-                             count (List.length events))
-                      else if Dvbp_tracestore.Crc32.string region <> crc then
-                        Error "seal footer CRC mismatch — sealed segment corrupted"
-                      else
-                        Ok
-                          (Complete
-                             { header; events; sealed = true; dropped_torn = false;
-                               unterminated = false; region }))
-          end
-          else begin
-            match Record.header_row ~line:lineno p trimmed with
-            | Ok () ->
-                if !region_lo >= 0 then
-                  Error (Printf.sprintf "line %d: header row inside the record region" lineno)
-                else go (i + 1) ~events rest
-            | Error msg -> tear_or (fun () -> Error msg)
-          end)
+    let tear_or ~torn_candidate ~events error =
+      if torn_candidate then finish_active ~events ~dropped_torn:true ~unterminated:false
+      else error ()
     in
-    let* r = go 0 ~events:[] lines in
+    (* line [i] starts at [off]; its trimmed text is [a, b) *)
+    let rec go i off ~events =
+      if off >= n then
+        if expect_sealed then Error "sealed segment is missing its seal footer"
+        else finish_active ~events ~dropped_torn:false ~unterminated:false
+      else begin
+        let stop = Record.line_stop text off in
+        let lineno = i + 1 in
+        let is_last = stop >= n - 1 in
+        let line_end = if is_last && not terminated then n else stop + 1 in
+        let torn_candidate = is_last && (not terminated) && not expect_sealed in
+        let a = Record.trim_start text off stop in
+        let b = Record.trim_stop text a stop in
+        if i = 0 then
+          let trimmed = String.sub text a (b - a) in
+          if String.equal trimmed magic then go 1 line_end ~events
+          else if torn_candidate then Ok Incomplete
+          else Error (Printf.sprintf "line 1: expected %S, got %S" magic trimmed)
+        else if a = b || text.[a] = '#' then begin
+          if !region_lo >= 0 then
+            tear_or ~torn_candidate ~events (fun () ->
+                Error
+                  (Printf.sprintf "line %d: blank or comment line inside the record region"
+                     lineno))
+          else go (i + 1) line_end ~events
+        end
+        else if Record.record_at text ~pos:a ~len:(b - a) then begin
+          match complete_header () with
+          | Error _ ->
+              tear_or ~torn_candidate ~events (fun () ->
+                  Error (Printf.sprintf "line %d: record before a complete header" lineno))
+          | Ok _ -> (
+              match Record.decode_sub ~version:2 reader text ~pos:a ~len:(b - a) with
+              | Ok e ->
+                  if !region_lo < 0 then region_lo := off;
+                  region_hi := line_end;
+                  if is_last && not terminated then
+                    finish_active ~events:(e :: events) ~dropped_torn:false
+                      ~unterminated:true
+                  else go (i + 1) line_end ~events:(e :: events)
+              | Error msg ->
+                  tear_or ~torn_candidate ~events (fun () ->
+                      Error (Printf.sprintf "line %d: %s" lineno msg)))
+        end
+        else if is_footer text a b then begin
+          let trimmed = String.sub text a (b - a) in
+          match complete_header () with
+          | Error _ ->
+              tear_or ~torn_candidate ~events (fun () ->
+                  Error (Printf.sprintf "line %d: seal footer before a complete header" lineno))
+          | Ok header -> (
+              if is_last && not terminated then
+                (* a torn footer: the seal never completed — the segment
+                   is still active (the rename cannot have happened, it
+                   follows the footer's fsync) *)
+                tear_or ~torn_candidate ~events (fun () ->
+                    Error (Printf.sprintf "line %d: unterminated seal footer" lineno))
+              else if not is_last then
+                Error (Printf.sprintf "line %d: data after the seal footer" lineno)
+              else
+                match parse_footer trimmed with
+                | None -> Error (Printf.sprintf "line %d: malformed seal footer %S" lineno trimmed)
+                | Some (count, crc) ->
+                    if !region_lo < 0 then begin
+                      region_lo := off;
+                      region_hi := off
+                    end;
+                    let region = String.sub text !region_lo (!region_hi - !region_lo) in
+                    let events = List.rev events in
+                    if List.length events <> count then
+                      Error
+                        (Printf.sprintf
+                           "seal footer says %d records but the segment holds %d"
+                           count (List.length events))
+                    else if Dvbp_tracestore.Crc32.string region <> crc then
+                      Error "seal footer CRC mismatch — sealed segment corrupted"
+                    else
+                      Ok
+                        (Complete
+                           { header; events; sealed = true; dropped_torn = false;
+                             unterminated = false; region }))
+        end
+        else begin
+          match Record.header_row ~line:lineno p (String.sub text a (b - a)) with
+          | Ok () ->
+              if !region_lo >= 0 then
+                Error (Printf.sprintf "line %d: header row inside the record region" lineno)
+              else go (i + 1) line_end ~events
+          | Error msg -> tear_or ~torn_candidate ~events (fun () -> Error msg)
+        end
+      end
+    in
+    let* r = go 0 0 ~events:[] in
     match r with
     | Incomplete when expect_sealed -> Error "sealed segment header is incomplete"
     | r -> Ok r

@@ -32,11 +32,31 @@ type metrics = {
    few files per tick — group-commit acks never wait on a retire. *)
 type compaction = C_idle | C_retiring of { frontier : int; started : float }
 
+(* Tenants by index, in first-appearance order. The batch scanner
+   resolves a tenant field where it lies in the request line: a hash over
+   the field's bytes picks a slot of an open-addressed index and the name
+   there is compared in place, so a known tenant costs no allocation. *)
+type tenants = {
+  mutable names : string array;
+  mutable sessions : Session.t array;
+  mutable shard : int array;  (* [Tenant.hash]: picks the tenant's worker *)
+  mutable run_events : int array;  (* event requests in the current run *)
+  mutable count : int;
+  mutable slots : int array;  (* power-of-two length; [-1] empty, else an index *)
+}
+
 type t = {
   config : config;
   io : Io.t;
-  tenants : (string, Session.t) Hashtbl.t;
-  mutable tenant_order_rev : string list;
+  tenants : tenants;
+  cols : Record.columns;
+      (* the run being handled, one row per line; a row's kind byte goes
+         from ['a']/['d'] (parsed) to ['A']/['D'] (applied, journaled),
+         ['R'] (arrival refused) or ['E'] (departure failed); [' '] marks
+         a line answered while scanning *)
+  mutable sizes : int array;  (* a plain size field's entries, reused *)
+  starts : int array;  (* field bounds of the line being scanned *)
+  stops : int array;
   journal : Journal.writer option;
   mutable compaction : compaction;
   mutable history_rev : Journal.event list;
@@ -92,13 +112,66 @@ let validate_config c =
   in
   Ok ()
 
+let hash_sub s pos len =
+  let h = ref 0 in
+  for i = pos to pos + len - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get s i)
+  done;
+  !h land max_int
+
+(* the index of the tenant named by [s.[pos .. pos+len)], or [-1] *)
+let find_tenant tt s pos len =
+  let mask = Array.length tt.slots - 1 in
+  let i = ref (hash_sub s pos len land mask) in
+  while
+    let x = Array.unsafe_get tt.slots !i in
+    x >= 0 && not (Record.same_sub s pos (pos + len) tt.names.(x))
+  do
+    i := (!i + 1) land mask
+  done;
+  Array.unsafe_get tt.slots !i
+
+let insert_slot slots tt x =
+  let name = tt.names.(x) and mask = Array.length slots - 1 in
+  let i = ref (hash_sub name 0 (String.length name) land mask) in
+  while slots.(!i) >= 0 do i := (!i + 1) land mask done;
+  slots.(!i) <- x
+
+let grow a x =
+  let b = Array.make (max 8 (2 * Array.length a)) x in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let add_tenant tt name session =
+  let x = tt.count in
+  if x = Array.length tt.names then begin
+    tt.names <- grow tt.names name;
+    tt.sessions <- grow tt.sessions session;
+    tt.shard <- grow tt.shard 0;
+    tt.run_events <- grow tt.run_events 0
+  end;
+  tt.names.(x) <- name;
+  tt.sessions.(x) <- session;
+  tt.shard.(x) <- Tenant.hash name;
+  tt.run_events.(x) <- 0;
+  tt.count <- x + 1;
+  (* at most half full *)
+  if 2 * tt.count > Array.length tt.slots then begin
+    let slots = Array.make (2 * Array.length tt.slots) (-1) in
+    for y = 0 to tt.count - 1 do insert_slot slots tt y done;
+    tt.slots <- slots
+  end
+  else insert_slot tt.slots tt x;
+  x
+
 let register_tenant t tenant session =
-  Hashtbl.add t.tenants tenant session;
-  t.tenant_order_rev <- tenant :: t.tenant_order_rev;
-  Metrics.attach_session t.obs ~tenant ~policy:t.config.policy session
+  let x = add_tenant t.tenants tenant session in
+  Metrics.attach_session t.obs ~tenant ~policy:t.config.policy session;
+  x
 
 let sessions t =
-  List.rev_map (fun tn -> (tn, Hashtbl.find t.tenants tn)) t.tenant_order_rev
+  let tt = t.tenants in
+  List.init tt.count (fun x -> (tt.names.(x), tt.sessions.(x)))
 
 let make_t config ~io ~obs ~tenant_sessions journal ~history ~since_snapshot =
   let history_rev = List.rev history in
@@ -106,8 +179,13 @@ let make_t config ~io ~obs ~tenant_sessions journal ~history ~since_snapshot =
     {
       config;
       io;
-      tenants = Hashtbl.create 8;
-      tenant_order_rev = [];
+      tenants =
+        { names = [||]; sessions = [||]; shard = [||]; run_events = [||]; count = 0;
+          slots = Array.make 16 (-1) };
+      cols = Record.columns 64;
+      sizes = [||];
+      starts = Array.make 6 0;
+      stops = Array.make 6 0;
       journal;
       compaction = C_idle;
       history_rev;
@@ -123,7 +201,8 @@ let make_t config ~io ~obs ~tenant_sessions journal ~history ~since_snapshot =
       closed = false;
     }
   in
-  List.iter (fun (tenant, session) -> register_tenant t tenant session) tenant_sessions;
+  List.iter (fun (tenant, session) -> ignore (register_tenant t tenant session : int))
+    tenant_sessions;
   if not (Metrics.is_noop obs) then begin
     let reg = Metrics.registry obs in
     R.Counter.pull reg "dvbp_server_placements_total" ~help:"PLACED replies" (fun () ->
@@ -139,7 +218,7 @@ let make_t config ~io ~obs ~tenant_sessions journal ~history ~since_snapshot =
       ~help:"Applied events (placements + departures) since genesis, replayed included"
       (fun () -> t.events);
     R.Gauge.pull reg "dvbp_server_tenants" ~help:"Tenant sessions this server holds"
-      (fun () -> float_of_int (List.length t.tenant_order_rev));
+      (fun () -> float_of_int t.tenants.count);
     let start = Metrics.now obs in
     R.Gauge.pull reg "dvbp_server_uptime_seconds" ~help:"Wall time since this server started"
       (fun () -> Metrics.now obs -. start)
@@ -229,22 +308,24 @@ let metrics t =
     events = t.events;
   }
 
-let get_session t tenant =
-  match Hashtbl.find_opt t.tenants tenant with
-  | Some s -> Ok s
-  | None ->
+(* the tenant's index, its session created on first contact *)
+let tenant_index t tenant =
+  match find_tenant t.tenants tenant 0 (String.length tenant) with
+  | -1 ->
       let* _ = Tenant.validate tenant in
       let* session =
         fresh_tenant_session ~policy:t.config.policy ~seed:t.config.seed
           ~capacity:t.config.capacity tenant
       in
-      register_tenant t tenant session;
-      Ok session
+      Ok (register_tenant t tenant session)
+  | x -> Ok x
+
+let get_session t tenant = Result.map (fun x -> t.tenants.sessions.(x)) (tenant_index t tenant)
 
 let session t =
-  match Hashtbl.find_opt t.tenants Tenant.default with
-  | Some s -> s
-  | None -> invalid_arg "Server.session: no default tenant session"
+  match find_tenant t.tenants Tenant.default 0 (String.length Tenant.default) with
+  | -1 -> invalid_arg "Server.session: no default tenant session"
+  | x -> t.tenants.sessions.(x)
 
 let observability t = t.obs
 let latency_summary t = Metrics.request_summary t.obs
@@ -511,99 +592,42 @@ let handle_line t line =
 
    The batch is processed as runs of event lines (ARRIVE/DEPART) broken by
    control lines (STATS, SNAPSHOT, ...), which are handled one at a time
-   on the calling domain between runs. Within a run:
+   on the calling domain between runs. A run lives in columns the server
+   owns and reuses from batch to batch ([t.cols], one row per line: kind,
+   tenant index, time, item id, size vector, then outcome, bin id and
+   new-bin flag), so no per-line variant or event is built on the way:
 
-   + {e prep} (calling domain): parse each line, resolve its tenant
-     session (creating it on first contact), pick its shard;
+   + {e scan} (calling domain): one parser reads each line's fields in
+     place into its row — an arrival's size vector is built here, once:
+     the one the session keeps — resolves the tenant (creating it on
+     first contact, once every field has parsed) and answers malformed
+     lines;
    + {e apply} (sharded over [config.jobs] domains via {!Dvbp_parallel}):
-     each shard applies its lines in arrival order against its tenants'
-     sessions and writes the outcome into that line's pre-assigned slot —
-     a tenant's events all land on one shard ({!Tenant.shard}), so every
+     each shard walks the rows of its tenants in arrival order, calls the
+     session and writes the outcome and reply into that row's slots — a
+     tenant's rows all land on one shard ({!Tenant.shard}), so every
      per-tenant packing is bit-identical to [jobs = 1];
-   + {e commit} (calling domain): walk outcomes in arrival order, append
-     applied events to the journal in chunks of at most [fsync_every]
-     records ({!Journal.append_batch}: one buffered write + one fsync per
-     chunk), then account counters and release replies. *)
+   + {e commit} (calling domain): walk the rows in arrival order to count
+     outcomes and extend the history, then journal the applied rows
+     straight from the columns in chunks of at most [fsync_every] records
+     ({!Journal.append_columns}: one buffered write + one fsync per
+     chunk). *)
 
-type prep =
-  | P_none  (* reply already decided at prep (parse or tenant error) *)
-  | P_arrive of {
-      tenant : string;
-      session : Session.t;
-      time : float;
-      item_id : int;
-      size : Vec.t;
-    }
-  | P_depart of { tenant : string; session : Session.t; time : float; item_id : int }
+let ok_reply = ("OK", false)
 
-type applied =
-  | A_none
-  | A_err of string  (* ERR reply computed by a worker (failed DEPART) *)
-  | A_reject of string
-  | A_placed of string * Journal.event
-  | A_departed of Journal.event
+(* {3 The request scanner}
 
-let prep_shard = function
-  | P_none -> 0
-  | P_arrive { tenant; _ } | P_depart { tenant; _ } -> Tenant.hash tenant
-
-let apply_prepped prep results k =
-  match prep.(k) with
-  | P_none -> ()
-  | P_arrive { tenant; session; time; item_id; size } -> (
-      match Session.arrive session ~at:time ~id:item_id ~size () with
-      | exception Session.Session_error msg -> results.(k) <- A_reject msg
-      | p ->
-          results.(k) <-
-            A_placed
-              ( placed_reply p,
-                Journal.Arrive
-                  { tenant; time; item_id; size; bin_id = p.Session.bin_id;
-                    opened_new_bin = p.Session.opened_new_bin } ))
-  | P_depart { tenant; session; time; item_id } -> (
-      match Session.depart session ~at:time ~item_id with
-      | exception Session.Session_error msg -> results.(k) <- A_err msg
-      | () -> results.(k) <- A_departed (Journal.Depart { tenant; time; item_id }))
-
-let rec split_at n = function
-  | [] -> ([], [])
-  | rest when n <= 0 -> ([], rest)
-  | x :: rest ->
-      let a, b = split_at (n - 1) rest in
-      (x :: a, b)
-
-let flush_staged t staged_rev ~waiters =
-  match (t.journal, staged_rev) with
-  | None, _ | _, [] -> ()
-  | Some w, _ ->
-      Metrics.set_group_commit_waiters t.obs waiters;
-      let commit events =
-        Metrics.time_journal_append t.obs (fun () -> Journal.append_batch w events)
-      in
-      (* per-batch ceiling: one commit never spans more than fsync_every
-         records (pinned in tests); a batch within it is committed whole *)
-      let rec chunks events =
-        if List.compare_length_with events t.config.fsync_every <= 0 then commit events
-        else
-          let chunk, rest = split_at t.config.fsync_every events in
-          commit chunk;
-          chunks rest
-      in
-      chunks (List.rev staged_rev);
-      Metrics.set_group_commit_waiters t.obs 0
-
-(* {3 Hot-path request scanner}
-
-   [process_run] parses tens of thousands of well-formed ARRIVE/DEPART
-   lines per second, so the common case avoids [tokenize]'s token list and
-   the [parse_*] wrappers entirely: fields are scanned in place and ints
-   are accumulated without allocating. Anything unusual — malformed
-   numbers, sign prefixes, bad tenants, wrong arity — falls back to the
-   tokenize-based parser so every error text and edge-case semantic stays
-   identical to [handle_line]. *)
+   Fields are found in place ([scan_fields]) and read straight into the
+   row: plain decimal ints, [digits[.digits]] times and [d,d,...] sizes
+   without a token list or a substring. A field the scanner does not read
+   in one pass (a sign, an exponent, an overlong number, a bad tenant)
+   goes to [parse_int], [parse_float], [parse_sizes] or [Tenant.validate]
+   on that field's substring, so values, error texts and their order are
+   exactly [handle_line]'s. Each reader returns [""] or the error
+   message. *)
 
 (* bounds of up to [Array.length starts] space-separated fields; -1 when
-   there are more fields than slots (caller falls back) *)
+   there are more fields than slots *)
 let scan_fields line (starts : int array) (stops : int array) =
   let n = String.length line in
   let n = if n > 0 && String.unsafe_get line (n - 1) = '\r' then n - 1 else n in
@@ -622,213 +646,307 @@ let scan_fields line (starts : int array) (stops : int array) =
   while !i < n && String.unsafe_get line !i = ' ' do incr i done;
   if !i < n then -1 else !count
 
-let field_is line s e kw =
-  e - s = String.length kw
-  &&
-  let ok = ref true in
-  for j = 0 to e - s - 1 do
-    if String.unsafe_get line (s + j) <> String.unsafe_get kw j then ok := false
-  done;
-  !ok
+(* 10^k for k <= 22: every one is an exact double *)
+let pow10 = Array.init 23 (fun k -> float_of_string ("1e" ^ string_of_int k))
 
-(* plain decimal int in [s, e); -1 on empty, non-digit or > 18 digits *)
-let parse_uint line s e =
-  if e <= s || e - s > 18 then -1
-  else begin
-    let v = ref 0 and ok = ref true in
-    for j = s to e - 1 do
-      let c = Char.code (String.unsafe_get line j) - 48 in
-      if c < 0 || c > 9 then ok := false else v := (!v * 10) + c
-    done;
-    if !ok then !v else -1
-  end
-
-(* "10,20"-style size vector in [s, e); None on anything but plain
-   decimal segments *)
-let parse_sizes_fast line s e =
-  if e <= s then None
-  else begin
-    let dims = ref 1 in
-    for j = s to e - 1 do
-      if String.unsafe_get line j = ',' then incr dims
-    done;
-    let arr = Array.make !dims 0 in
-    let idx = ref 0 and v = ref 0 and len = ref 0 and ok = ref true in
-    for j = s to e - 1 do
-      let c = String.unsafe_get line j in
-      if c = ',' then begin
-        if !len = 0 || !len > 18 then ok := false;
-        arr.(!idx) <- !v;
-        incr idx;
-        v := 0;
-        len := 0
+(* [digits[.digits]] in [s, e) with at most 15 significant digits and at
+   most 22 after the point, written to [dst.(k)]; false for any other
+   spelling. The digit string [m] (< 10^15 < 2^53) and [10^f] are both
+   exact doubles, so [m /. 10^f] is the correctly rounded value of the
+   decimal: bit-identical to [float_of_string]. *)
+let decimal_into (dst : float array) k line s e =
+  let m = ref 0 and digits = ref 0 and frac = ref (-1) and ok = ref (e > s) and j = ref s in
+  while !ok && !j < e do
+    let c = String.unsafe_get line !j in
+    if c = '.' then begin
+      if !frac >= 0 || !j = s || !j = e - 1 then ok := false else frac := 0
+    end
+    else begin
+      let d = Char.code c - 48 in
+      if d < 0 || d > 9 then ok := false
+      else begin
+        if !m > 0 || d > 0 then incr digits;
+        m := (!m * 10) + d;
+        if !frac >= 0 then incr frac
       end
-      else
-        let d = Char.code c - 48 in
-        if d < 0 || d > 9 then ok := false
-        else begin
-          v := (!v * 10) + d;
-          incr len
-        end
-    done;
-    if !len = 0 || !len > 18 then ok := false else arr.(!idx) <- !v;
-    if !ok then Some (Vec.of_array arr) else None
-  end
+    end;
+    incr j
+  done;
+  !ok && !digits <= 15 && !frac <= 22
+  && begin
+       dst.(k) <- (if !frac <= 0 then float_of_int !m else float_of_int !m /. pow10.(!frac));
+       true
+     end
 
-let slow_parse t line =
-  match tokenize line with
-  | [ "ARRIVE"; time; id; sizes ] -> (
-      match parse_arrive ~time ~id ~sizes () with
-      | Ok (tenant, time, item_id, size) ->
-          let* session = get_session t tenant in
-          Ok (P_arrive { tenant; session; time; item_id; size })
-      | Error _ as e -> e)
-  | [ "ARRIVE"; tenant; time; id; sizes ] -> (
-      match parse_arrive ~tenant ~time ~id ~sizes () with
-      | Ok (tenant, time, item_id, size) ->
-          let* session = get_session t tenant in
-          Ok (P_arrive { tenant; session; time; item_id; size })
-      | Error _ as e -> e)
-  | "ARRIVE" :: _ -> Error arrive_usage
-  | [ "DEPART"; time; id ] -> (
-      match parse_depart ~time ~id () with
-      | Ok (tenant, time, item_id) ->
-          let* session = get_session t tenant in
-          Ok (P_depart { tenant; session; time; item_id })
-      | Error _ as e -> e)
-  | [ "DEPART"; tenant; time; id ] -> (
-      match parse_depart ~tenant ~time ~id () with
-      | Ok (tenant, time, item_id) ->
-          let* session = get_session t tenant in
-          Ok (P_depart { tenant; session; time; item_id })
-      | Error _ as e -> e)
-  | "DEPART" :: _ -> Error depart_usage
-  | _ -> Error "empty request"
+let decimal_time s =
+  let a = [| 0.0 |] in
+  if decimal_into a 0 s 0 (String.length s) then Some a.(0) else None
+
+let time_field c k line s e =
+  if decimal_into c.Record.time k line s e then ""
+  else
+    match parse_float "timestamp" (String.sub line s (e - s)) with
+    | Ok x ->
+        c.Record.time.(k) <- x;
+        ""
+    | Error msg -> msg
+
+let item_field c k line s e =
+  let v = Record.plain_int line s e in
+  if v <> min_int then begin
+    c.Record.item.(k) <- v;
+    ""
+  end
+  else
+    match parse_int "item id" (String.sub line s (e - s)) with
+    | Ok x ->
+        c.Record.item.(k) <- x;
+        ""
+    | Error msg -> msg
+
+(* entries in a plain [d,d,...] size field (one or more decimal segments
+   of at most 18 digits); -1 for any other spelling *)
+let plain_dims line s e =
+  let len = ref 0 and dims = ref 1 and j = ref s in
+  while !dims > 0 && !j < e do
+    let c = String.unsafe_get line !j in
+    if c = ',' then begin
+      if !len = 0 then dims := -1 else incr dims;
+      len := 0
+    end
+    else if c >= '0' && c <= '9' && !len < 18 then incr len
+    else dims := -1;
+    incr j
+  done;
+  if !len = 0 then -1 else !dims
+
+(* A plain size field is read into [t.sizes] (reused while the dimension
+   holds) and [Vec.of_array] copies it once, into the vector the session
+   keeps; any other spelling goes to [parse_sizes]. *)
+let sizes_field t k line s e =
+  let dims = if e > s then plain_dims line s e else -1 in
+  if dims > 0 then begin
+    if Array.length t.sizes <> dims then t.sizes <- Array.make dims 0;
+    let a = t.sizes and d = ref 0 and v = ref 0 in
+    for i = s to e - 1 do
+      let c = String.unsafe_get line i in
+      if c = ',' then begin
+        a.(!d) <- !v;
+        incr d;
+        v := 0
+      end
+      else v := (!v * 10) + Char.code c - 48
+    done;
+    a.(!d) <- !v;
+    t.cols.Record.size.(k) <- Vec.of_array a;
+    ""
+  end
+  else
+    match parse_sizes (String.sub line s (e - s)) with
+    | Ok v ->
+        t.cols.Record.size.(k) <- v;
+        ""
+    | Error msg -> msg
+
+(* the tenant field at [s, e) ([s < 0]: the default tenant) into row [k],
+   created on first contact *)
+let tenant_field t k line s e =
+  let found x =
+    t.cols.Record.tenant.(k) <- x;
+    t.tenants.run_events.(x) <- t.tenants.run_events.(x) + 1;
+    ""
+  in
+  let x =
+    if s < 0 then find_tenant t.tenants Tenant.default 0 (String.length Tenant.default)
+    else find_tenant t.tenants line s (e - s)
+  in
+  if x >= 0 then found x
+  else
+    match tenant_index t (if s < 0 then Tenant.default else String.sub line s (e - s)) with
+    | Ok x -> found x
+    | Error msg -> msg
+
+(* ARRIVE [tenant] <t> <id> <sizes> or DEPART [tenant] <t> <id>, [named]
+   when the tenant is given: the fields in order, then the tenant *)
+let scan_fields_of t k line ~arrive ~named =
+  let st = t.starts and sp = t.stops and c = t.cols in
+  let f = if named then 2 else 1 in
+  let err =
+    if named && not (Tenant.valid_sub line ~pos:st.(1) ~len:(sp.(1) - st.(1))) then
+      match Tenant.validate (String.sub line st.(1) (sp.(1) - st.(1))) with
+      | Error msg -> msg
+      | Ok _ -> assert false
+    else
+      let err = time_field c k line st.(f) sp.(f) in
+      if err <> "" then err
+      else
+        let err = item_field c k line st.(f + 1) sp.(f + 1) in
+        if err <> "" then err
+        else
+          let err = if arrive then sizes_field t k line st.(f + 2) sp.(f + 2) else "" in
+          if err <> "" then err
+          else tenant_field t k line (if named then st.(1) else -1) sp.(1)
+  in
+  if err = "" then Bytes.unsafe_set c.Record.kind k (if arrive then 'a' else 'd');
+  err
+
+(* Row [k] from [line]: kind ['a'] or ['d'] and its fields, or [""] kind
+   [' '] and the ERR message. Token count tells the two grammars apart,
+   as in [handle_line]. *)
+let scan_event t k line =
+  Bytes.unsafe_set t.cols.Record.kind k ' ';
+  let st = t.starts and sp = t.stops in
+  let nf = scan_fields line st sp in
+  if nf = 0 then "empty request"
+  else if Record.same_sub line st.(0) sp.(0) "ARRIVE" then
+    if nf = 4 || nf = 5 then scan_fields_of t k line ~arrive:true ~named:(nf = 5)
+    else arrive_usage
+  else if Record.same_sub line st.(0) sp.(0) "DEPART" then
+    if nf = 3 || nf = 4 then scan_fields_of t k line ~arrive:false ~named:(nf = 4)
+    else depart_usage
+  else Printf.sprintf "unknown command %S" (String.sub line st.(0) (sp.(0) - st.(0)))
+
+(* {3 Apply} *)
+
+let apply_row t lo (replies : (string * bool) array) k =
+  let c = t.cols in
+  match Bytes.unsafe_get c.Record.kind k with
+  | 'a' -> (
+      let size = c.Record.size.(k) in
+      let session = t.tenants.sessions.(c.Record.tenant.(k)) in
+      match Session.arrive session ~at:c.Record.time.(k) ~id:c.Record.item.(k) ~size () with
+      | exception Session.Session_error msg ->
+          Bytes.unsafe_set c.Record.kind k 'R';
+          replies.(lo + k) <- (Printf.sprintf "REJECT %s" msg, false)
+      | p ->
+          Bytes.unsafe_set c.Record.kind k 'A';
+          c.Record.bin.(k) <- p.Session.bin_id;
+          Bytes.unsafe_set c.Record.fresh k (if p.Session.opened_new_bin then '1' else '0');
+          replies.(lo + k) <- (placed_reply p, false))
+  | 'd' -> (
+      let session = t.tenants.sessions.(c.Record.tenant.(k)) in
+      match Session.depart session ~at:c.Record.time.(k) ~item_id:c.Record.item.(k) with
+      | exception Session.Session_error msg ->
+          Bytes.unsafe_set c.Record.kind k 'E';
+          replies.(lo + k) <- (Printf.sprintf "ERR %s" msg, false)
+      | () ->
+          Bytes.unsafe_set c.Record.kind k 'D';
+          replies.(lo + k) <- ok_reply)
+  | _ -> ()
+
+(* {3 Commit} *)
+
+let is_record kind = kind = 'A' || kind = 'D'
+
+(* journal the record rows of [0, n), [records] of them, in chunks of at
+   most [fsync_every] records — the per-batch ceiling (pinned in tests);
+   a run within it is committed whole *)
+let commit_rows t n ~records =
+  match t.journal with
+  | Some w when records > 0 ->
+      let c = t.cols in
+      c.Record.names <- t.tenants.names;
+      Metrics.set_group_commit_waiters t.obs n;
+      let lo = ref 0 in
+      while !lo < n do
+        let hi = ref !lo and chunk = ref 0 in
+        while !hi < n && !chunk < t.config.fsync_every do
+          if is_record (Bytes.unsafe_get c.Record.kind !hi) then incr chunk;
+          incr hi
+        done;
+        if !chunk > 0 then begin
+          let pos = !lo and len = !hi - !lo in
+          Metrics.time_journal_append t.obs (fun () -> Journal.append_columns w c ~pos ~len)
+        end;
+        lo := !hi
+      done;
+      Metrics.set_group_commit_waiters t.obs 0
+  | Some _ | None -> ()
 
 let process_run t lines (replies : (string * bool) array) ~lo ~hi =
   let jobs = t.config.jobs in
   let run_t0 = Metrics.now t.obs in
   let n = hi - lo in
-  let prep = Array.make n P_none in
-  let arrives = ref 0 in
-  let starts = Array.make 6 0 and stops = Array.make 6 0 in
-  (* prep: parse + tenant resolution on the calling domain (session
+  let c = t.cols in
+  Record.ensure_rows c n;
+  (* scan: parse + tenant resolution on the calling domain (tenant
      creation mutates the tenant table, which workers only read) *)
+  let arrives = ref 0 in
   for k = 0 to n - 1 do
     let line = lines.(lo + k) in
     t.requests <- t.requests + 1;
-    let nf = scan_fields line starts stops in
-    (* every line the caller routes here starts with ARRIVE or DEPART *)
-    let arrive = nf > 0 && field_is line starts.(0) stops.(0) "ARRIVE" in
-    if arrive then incr arrives;
-    Metrics.on_request t.obs (if arrive then Metrics.Arrive else Metrics.Depart);
-    let fast =
-      (* tenant field present iff one extra token *)
-      let want = if arrive then 4 else 3 in
-      if nf <> want && nf <> want + 1 then None
-      else begin
-        let base = if nf = want then 1 else 2 in
-        let tenant =
-          if nf = want then Some Tenant.default
-          else
-            let s = String.sub line starts.(1) (stops.(1) - starts.(1)) in
-            match Tenant.validate s with Ok tn -> Some tn | Error _ -> None
-        in
-        match tenant with
-        | None -> None
-        | Some tenant -> (
-            let item_id = parse_uint line starts.(base + 1) stops.(base + 1) in
-            if item_id < 0 then None
-            else
-              match
-                float_of_string
-                  (String.sub line starts.(base) (stops.(base) - starts.(base)))
-              with
-              | exception _ -> None
-              | time when not (Float.is_finite time) -> None
-              | time -> (
-                  match get_session t tenant with
-                  | Error _ -> None
-                  | Ok session ->
-                      if not arrive then
-                        Some (Ok (P_depart { tenant; session; time; item_id }))
-                      else
-                        parse_sizes_fast line starts.(base + 2) stops.(base + 2)
-                        |> Option.map (fun size ->
-                               Ok (P_arrive { tenant; session; time; item_id; size }))))
-      end
-    in
-    let parsed = match fast with Some p -> p | None -> slow_parse t line in
-    match parsed with
-    | Ok p -> prep.(k) <- p
-    | Error msg -> replies.(lo + k) <- err t msg
+    let kind = Metrics.kind_of_line line in
+    if kind = Metrics.Arrive then incr arrives;
+    Metrics.on_request t.obs kind;
+    match scan_event t k line with "" -> () | msg -> replies.(lo + k) <- err t msg
   done;
-  (* apply: shard by tenant, workers write disjoint slots *)
-  let results = Array.make n A_none in
-  if jobs <= 1 then
+  (* apply: shard by tenant, workers write disjoint rows and slots *)
+  if jobs <= 1 then begin
     for k = 0 to n - 1 do
-      apply_prepped prep results k
+      apply_row t lo replies k
     done
+  end
   else begin
-    let buckets = Array.make jobs [] in
-    for k = n - 1 downto 0 do
-      match prep.(k) with
-      | P_none -> ()
-      | p ->
-          let s = prep_shard p mod jobs in
-          buckets.(s) <- k :: buckets.(s)
-    done;
+    let shard = t.tenants.shard in
     ignore
       (Dvbp_parallel.Parallel.map_array ~jobs
-         (fun idxs -> List.iter (fun k -> apply_prepped prep results k) idxs)
-         buckets)
+         (fun s ->
+           for k = 0 to n - 1 do
+             match Bytes.unsafe_get c.Record.kind k with
+             | ('a' | 'd') when shard.(c.Record.tenant.(k)) mod jobs = s ->
+                 apply_row t lo replies k
+             | _ -> ()
+           done)
+         (Array.init jobs Fun.id))
   end;
-  (* commit: journal applied events in arrival order, then release *)
-  let staged_rev = ref [] in
+  (* commit: count outcomes and extend the history in arrival order, then
+     journal the applied rows; replies are released by the caller *)
+  let placed = ref 0 and departed = ref 0 and history = ref t.history_rev in
+  let names = t.tenants.names in
   for k = 0 to n - 1 do
-    match results.(k) with
-    | A_none -> ()
-    | A_err msg -> replies.(lo + k) <- err t msg
-    | A_reject msg ->
-        t.rejections <- t.rejections + 1;
-        replies.(lo + k) <- (Printf.sprintf "REJECT %s" msg, false)
-    | A_placed (reply, e) ->
-        t.placements <- t.placements + 1;
-        staged_rev := e :: !staged_rev;
-        t.history_rev <- e :: t.history_rev;
-        t.events <- t.events + 1;
-        t.since_snapshot <- t.since_snapshot + 1;
-        replies.(lo + k) <- (reply, false)
-    | A_departed e ->
-        t.departures <- t.departures + 1;
-        staged_rev := e :: !staged_rev;
-        t.history_rev <- e :: t.history_rev;
-        t.events <- t.events + 1;
-        t.since_snapshot <- t.since_snapshot + 1;
-        replies.(lo + k) <- ("OK", false)
+    match Bytes.unsafe_get c.Record.kind k with
+    | 'A' ->
+        incr placed;
+        history :=
+          Journal.Arrive
+            { tenant = names.(c.Record.tenant.(k)); time = c.Record.time.(k);
+              item_id = c.Record.item.(k); size = c.Record.size.(k);
+              bin_id = c.Record.bin.(k);
+              opened_new_bin = Bytes.unsafe_get c.Record.fresh k = '1' }
+          :: !history
+    | 'D' ->
+        incr departed;
+        history :=
+          Journal.Depart
+            { tenant = names.(c.Record.tenant.(k)); time = c.Record.time.(k);
+              item_id = c.Record.item.(k) }
+          :: !history
+    | 'R' -> t.rejections <- t.rejections + 1
+    | 'E' -> t.errors <- t.errors + 1
+    | _ -> ()
   done;
-  flush_staged t !staged_rev ~waiters:n;
+  let records = !placed + !departed in
+  t.placements <- t.placements + !placed;
+  t.departures <- t.departures + !departed;
+  t.history_rev <- !history;
+  t.events <- t.events + records;
+  t.since_snapshot <- t.since_snapshot + records;
+  commit_rows t n ~records;
   Metrics.set_compaction_lag t.obs t.since_snapshot;
   maybe_auto_snapshot t;
+  (* batch latency: every line in the run waited for the same commit, so
+     each observes the run's full scan+apply+commit wall time — one bulk
+     bucket update per kind and per tenant, not one per line *)
+  let tt = t.tenants in
   if not (Metrics.is_noop t.obs) then begin
-    (* batch latency: every line in the run waited for the same commit,
-       so each observes the run's full prep+apply+commit wall time — one
-       bulk bucket update per kind and per tenant, not one per line *)
     let seconds = Metrics.now t.obs -. run_t0 in
-    let per_tenant = Hashtbl.create 8 in
-    for k = 0 to n - 1 do
-      match prep.(k) with
-      | P_none -> ()
-      | P_arrive { tenant; _ } | P_depart { tenant; _ } ->
-          Hashtbl.replace per_tenant tenant
-            (1 + Option.value (Hashtbl.find_opt per_tenant tenant) ~default:0)
-    done;
     Metrics.observe_request_n t.obs Metrics.Arrive ~seconds !arrives;
     Metrics.observe_request_n t.obs Metrics.Depart ~seconds (n - !arrives);
-    Hashtbl.iter
-      (fun tenant k -> Metrics.observe_tenant_request_n t.obs ~tenant ~seconds k)
-      per_tenant
-  end
+    for x = 0 to tt.count - 1 do
+      Metrics.observe_tenant_request_n t.obs ~tenant:tt.names.(x) ~seconds tt.run_events.(x)
+    done
+  end;
+  Array.fill tt.run_events 0 tt.count 0
 
 let is_event_line line =
   match Metrics.kind_of_line line with

@@ -110,6 +110,13 @@ val handle_batch : t -> string array -> (string * bool) array
     bit-identical for any [jobs]. Control lines (STATS, SNAPSHOT, QUIT,
     malformed input) are handled between commits on the calling domain. *)
 
+val decimal_time : string -> float option
+(** The batch scanner's exact timestamp reader: [Some x] for a plain
+    [digits[.digits]] spelling with at most 15 significant digits and at
+    most 22 after the point, [x] bit-identical to [float_of_string];
+    [None] for any other spelling, which the scanner hands to
+    [float_of_string] itself. Exposed for the equivalence tests. *)
+
 val serve : t -> in_channel -> out_channel -> unit
 (** Read-eval-reply until QUIT or EOF, then {!close}. Replies are flushed
     per request. Per-request handling latency is recorded into the

@@ -130,10 +130,10 @@ let finish_digest (d : dacc) =
     }
 
 let of_string text =
-  if String.trim text = "" then Error "empty snapshot"
+  if Record.trim_start text 0 (String.length text) = String.length text then
+    Error "empty snapshot"
   else begin
     let version = ref 2 in
-    let lines = String.split_on_char '\n' text in
     let a =
       {
         policy = None;
@@ -175,12 +175,13 @@ let of_string text =
         Ok ()
       end
     in
+    let a_history e =
+      a.saw_history <- true;
+      a.history_rev <- e :: a.history_rev
+    in
     let row ~line trimmed =
-      if a.saw_history
-         && not
-              (String.length trimmed >= 7
-              && (String.sub trimmed 0 7 = "arrive," || String.sub trimmed 0 7 = "depart,"))
-      then Error (Printf.sprintf "line %d: state row after history records" line)
+      if a.saw_history && not (Record.is_record trimmed) then
+        Error (Printf.sprintf "line %d: state row after history records" line)
       else
         match String.split_on_char ',' trimmed with
         | "policy" :: [ name ] when String.trim name <> "" ->
@@ -235,29 +236,44 @@ let of_string text =
         | ("arrive" | "depart") :: _ -> (
             match Journal.decode_event ~version:!version trimmed with
             | Ok e ->
-                a.saw_history <- true;
-                a.history_rev <- e :: a.history_rev;
+                a_history e;
                 Ok ()
             | Error msg -> Error (Printf.sprintf "line %d: %s" line msg))
         | _ -> Error (Printf.sprintf "line %d: unrecognised row %S" line trimmed)
     in
-    let rec go line = function
-      | [] -> Ok ()
-      | raw :: rest ->
-          let trimmed = String.trim raw in
-          if line = 1 then
-            if trimmed = magic then go 2 rest
-            else if trimmed = magic_v1 then begin
-              version := 1;
-              go 2 rest
-            end
-            else Error (Printf.sprintf "line 1: expected %S, got %S" magic trimmed)
-          else if trimmed = "" || trimmed.[0] = '#' then go (line + 1) rest
-          else
-            let* () = row ~line trimmed in
-            go (line + 1) rest
+    (* lines are walked where they lie in [text]; a history record is
+       decoded in place, every other row is cut out for [row] *)
+    let reader = Record.reader () in
+    let n = String.length text in
+    let rec go line off =
+      if off > n then Ok ()
+      else begin
+        let stop = Record.line_stop text off in
+        let a = Record.trim_start text off stop in
+        let b = Record.trim_stop text a stop in
+        let next = stop + 1 in
+        if line = 1 then begin
+          let trimmed = String.sub text a (b - a) in
+          if trimmed = magic then go 2 next
+          else if trimmed = magic_v1 then begin
+            version := 1;
+            go 2 next
+          end
+          else Error (Printf.sprintf "line 1: expected %S, got %S" magic trimmed)
+        end
+        else if a = b || text.[a] = '#' then go (line + 1) next
+        else if Record.record_at text ~pos:a ~len:(b - a) then
+          match Record.decode_sub ~version:!version reader text ~pos:a ~len:(b - a) with
+          | Ok e ->
+              a_history e;
+              go (line + 1) next
+          | Error msg -> Error (Printf.sprintf "line %d: %s" line msg)
+        else
+          let* () = row ~line (String.sub text a (b - a)) in
+          go (line + 1) next
+      end
     in
-    let* () = go 1 lines in
+    let* () = go 1 0 in
     let* policy = require "policy" a.policy in
     let* seed = require "seed" a.seed in
     let* capacity = require "capacity" a.capacity in

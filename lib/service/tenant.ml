@@ -8,15 +8,14 @@ let valid_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> true
   | _ -> false
 
-let is_valid name =
-  let n = String.length name in
-  n > 0 && n <= max_length
+let valid_sub s ~pos ~len =
+  len > 0 && len <= max_length
   &&
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if not (valid_char name.[i]) then ok := false
-  done;
-  !ok
+  let i = ref pos in
+  while !i < pos + len && valid_char (String.unsafe_get s !i) do incr i done;
+  !i = pos + len
+
+let is_valid name = valid_sub name ~pos:0 ~len:(String.length name)
 
 let validate name =
   if is_valid name then Ok name

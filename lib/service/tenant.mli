@@ -22,6 +22,10 @@ val is_valid : string -> bool
     tenant names safe inside both the space-separated protocol and the
     comma-separated journal records. *)
 
+val valid_sub : string -> pos:int -> len:int -> bool
+(** {!is_valid} on the [len] bytes of a string at [pos], read in place
+    (request and record readers check a tenant field where it lies). *)
+
 val validate : string -> (string, string) result
 
 val hash : string -> int

@@ -1,9 +1,12 @@
 (* The journal's byte path: the record writer against a reference encoder
    (the string_of_int / Int64 formulation the format was defined with),
-   decode after encode, slicing-by-8 CRC-32 against a bytewise reference,
+   decode after encode, the in-place record reader against the field-list
+   reader it replaced, slicing-by-8 CRC-32 against a bytewise reference,
    committed golden files the writer must reproduce byte for byte, the
    writer's O(1) segment bookkeeping, and the request classification and
-   parsing that feed it. *)
+   parsing that feed it: the batch scanner's exact timestamp reader, the
+   batch path against the line path, and the batch path's allocation
+   budget. *)
 
 open Dvbp_service
 module Vec = Dvbp_vec.Vec
@@ -591,6 +594,478 @@ let parser_tests =
         check_bool "one of the 25" true (bin >= 0 && bin < 25));
   ]
 
+(* {1 One parser, columns and the batch path} *)
+
+(* the tenant names a server holds, in first-appearance order *)
+let tenant_names s = List.map fst (Server.sessions s)
+
+let phantom_lines =
+  [| "ARRIVE newt 1.0 5 abc"; "ARRIVE t3 1.0 5 1,x"; "ARRIVE other 1.0 5 5,5";
+     "DEPART newd 1.0 x"; "ARRIVE bad/x 1.0 5 5,5"; "DEPART t4 nan 1" |]
+
+let phantom_tests =
+  [
+    Alcotest.test_case "a malformed line creates no tenant on either path" `Quick (fun () ->
+        let lines = Array.append edge_corpus phantom_lines in
+        let whole = fresh_server () and each = fresh_server () and single = fresh_server () in
+        ignore (Server.handle_batch whole lines);
+        Array.iter
+          (fun line ->
+            ignore (Server.handle_line each line);
+            ignore (Server.handle_batch single [| line |]))
+          lines;
+        let want = tenant_names each in
+        Alcotest.(check (list string)) "handle_line tenants" [ "default"; "t1"; "other" ] want;
+        Alcotest.(check (list string)) "one batch" want (tenant_names whole);
+        Alcotest.(check (list string)) "line by line batches" want (tenant_names single));
+  ]
+
+(* {2 Exact readers} *)
+
+let digit_string n =
+  QCheck2.Gen.(map (fun l -> String.of_seq (List.to_seq l)) (list_repeat n (char_range '0' '9')))
+
+let decimal_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        (let* int_digits = 1 -- 20 in
+         let* frac_digits = 0 -- 25 in
+         let* i = digit_string int_digits in
+         let* f = digit_string frac_digits in
+         return (if frac_digits = 0 then i else i ^ "." ^ f));
+        (* 19-digit integers: past the exact range *)
+        map (fun d -> "1" ^ d) (digit_string 18);
+        map (fun d -> "9" ^ d) (digit_string 18);
+        oneofl
+          [ "+5"; "-0"; ".5"; "5."; "1e5"; "1_0.5"; "0x1p3"; "inf"; "nan"; "1e400";
+            "1234567890123456789"; "9999999999999999999"; "0"; "0.0"; "00.000";
+            "0.0000000000000000000001"; "0.00000000000000000000001"; "999999999999999";
+            "9999999999999999"; "123456789012345.5"; "1.5.5"; ""; "1a" ];
+      ])
+
+let bits = Int64.bits_of_float
+
+let prop_decimal_time =
+  QCheck2.Test.make ~name:"decimal timestamps read bit-identically to float_of_string"
+    ~count:5000 ~print:Fun.id decimal_gen (fun s ->
+      match (Server.decimal_time s, float_of_string_opt s) with
+      | Some x, Some y -> Int64.equal (bits x) (bits y)
+      | Some _, None -> false
+      | None, _ ->
+          (* left to float_of_string: only spellings outside
+             digits[.digits] with <= 15 significant and <= 22 fraction
+             digits *)
+          let plain =
+            s <> ""
+            && String.for_all (fun c -> c = '.' || (c >= '0' && c <= '9')) s
+            && (match String.index_opt s '.' with
+               | None -> true
+               | Some i ->
+                   i > 0 && i < String.length s - 1 && not (String.contains_from s (i + 1) '.'))
+          in
+          let sig_digits =
+            let seen = ref false and n = ref 0 in
+            String.iter
+              (fun c ->
+                if c <> '.' && (!seen || c <> '0') then begin
+                  seen := true;
+                  incr n
+                end)
+              s;
+            !n
+          in
+          let frac =
+            match String.index_opt s '.' with Some i -> String.length s - i - 1 | None -> 0
+          in
+          not (plain && sig_digits <= 15 && frac <= 22))
+
+let decimal_corpus_tests =
+  [
+    Alcotest.test_case "signs, exponents and other spellings are left to float_of_string"
+      `Quick (fun () ->
+        List.iter
+          (fun s -> check_bool s true (Server.decimal_time s = None))
+          [ "+5"; "-0"; ".5"; "5."; "1e5"; "1_0.5"; "0x1p3"; "inf"; "nan"; "1e400";
+            "1234567890123456789" ];
+        List.iter
+          (fun (s, want) ->
+            match Server.decimal_time s with
+            | Some x -> check_bool s true (Int64.equal (bits x) (bits want))
+            | None -> Alcotest.failf "%S should take the exact path" s)
+          [ ("1.2500", 1.25); ("0.1", 0.1); ("3", 3.0); ("0", 0.0); ("000.5", 0.5);
+            ("999999999999999", 999999999999999.0) ]);
+  ]
+
+let time_text v =
+  let b = Bytes.create Record.max_time_bytes in
+  Bytes.sub_string b 0 (Record.put_time b 0 v)
+
+let prop_hex_time =
+  QCheck2.Test.make ~name:"hex-float record times read bit-identically to float_of_string"
+    ~count:5000
+    ~print:(fun b -> Printf.sprintf "%Lx -> %s" b (time_text (Int64.float_of_bits b)))
+    QCheck2.Gen.(
+      oneof
+        [
+          ui64;
+          map Int64.of_int (0 -- 0xF_FFFF_FFFF_FFFF);
+          map (fun e -> Int64.shift_left (Int64.of_int e) 52) (0 -- 0xFFF);
+          oneofl [ 0L; Int64.min_int; bits 1.0; bits (-1.0); bits Float.max_float;
+                   bits Float.min_float; bits Float.infinity; bits Float.nan ];
+        ])
+    (fun b ->
+      let v = Int64.float_of_bits b in
+      let s = time_text v in
+      let len = String.length s in
+      let fast = Record.hex_time s 0 len in
+      (* the in-place path takes every normal float and only those *)
+      Float.is_nan fast = (Float.classify_float v <> FP_normal)
+      && (Float.is_nan fast || Int64.equal (bits fast) (bits (float_of_string s)))
+      &&
+      match Record.time_field "time" s 0 len with
+      | x -> Float.is_finite v && Int64.equal (bits x) (bits (float_of_string s))
+      | exception Record.Bad _ -> not (Float.is_finite v))
+
+(* The field-list record reader the in-place one replaced, kept as the
+   reference: [String.split_on_char], [String.trim] and
+   [int_of_string_opt]/[float_of_string_opt] per field. *)
+let ref_decode ~version line =
+  let ( let* ) = Result.bind in
+  let parse_int what s =
+    match int_of_string_opt (String.trim s) with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "bad %s %S" what s)
+  in
+  let parse_float what s =
+    match float_of_string_opt (String.trim s) with
+    | Some x when Float.is_finite x -> Ok x
+    | Some _ | None -> Error (Printf.sprintf "bad %s %S" what s)
+  in
+  let rec collect what = function
+    | [] -> Ok []
+    | s :: rest ->
+        let* x = parse_int what s in
+        let* xs = collect what rest in
+        Ok (x :: xs)
+  in
+  let* body =
+    match String.rindex_opt line ',' with
+    | Some i
+      when i + 1 < String.length line && line.[i + 1] = '~' && String.length line - i - 2 = 4
+      -> (
+        let hex = String.sub line (i + 2) 4 in
+        match int_of_string_opt ("0x" ^ hex) with
+        | Some sum when sum = Record.checksum (Bytes.of_string line) ~pos:0 ~len:i ->
+            Ok (String.sub line 0 i)
+        | Some _ -> Error "checksum mismatch"
+        | None -> Error (Printf.sprintf "bad checksum field %S" hex))
+    | _ -> Error "missing checksum field"
+  in
+  let tenant_of t =
+    Result.map_error (fun _ -> Printf.sprintf "bad tenant %S" t) (Tenant.validate t)
+  in
+  let arrive ~tenant ~time ~item ~bin ~fresh ~sizes =
+    let* tenant = tenant_of tenant in
+    let* time = parse_float "arrival time" time in
+    let* item_id = parse_int "item id" item in
+    let* bin_id = parse_int "bin id" bin in
+    let* fresh = parse_int "opened-new-bin flag" fresh in
+    let* opened_new_bin =
+      match fresh with
+      | 0 -> Ok false
+      | 1 -> Ok true
+      | n -> Error (Printf.sprintf "opened-new-bin flag must be 0 or 1, got %d" n)
+    in
+    let* sizes = collect "size entry" sizes in
+    match sizes with
+    | [] -> Error "arrive record with no size"
+    | _ when List.exists (fun s -> s < 0) sizes -> Error "negative size"
+    | _ ->
+        Ok
+          (Journal.Arrive
+             { tenant; time; item_id; size = Vec.of_list sizes; bin_id; opened_new_bin })
+  in
+  let depart ~tenant ~time ~item =
+    let* tenant = tenant_of tenant in
+    let* time = parse_float "departure time" time in
+    let* item_id = parse_int "item id" item in
+    Ok (Journal.Depart { tenant; time; item_id })
+  in
+  match (version, String.split_on_char ',' body) with
+  | 2, "arrive" :: tenant :: time :: item :: bin :: fresh :: sizes ->
+      arrive ~tenant ~time ~item ~bin ~fresh ~sizes
+  | 2, [ "depart"; tenant; time; item ] -> depart ~tenant ~time ~item
+  | 1, "arrive" :: time :: item :: bin :: fresh :: sizes ->
+      arrive ~tenant:Tenant.default ~time ~item ~bin ~fresh ~sizes
+  | 1, [ "depart"; time; item ] -> depart ~tenant:Tenant.default ~time ~item
+  | _, ("arrive" | "depart") :: _ -> Error "malformed record"
+  | _, kind :: _ -> Error (Printf.sprintf "unrecognised record kind %S" kind)
+  | _, [] -> Error "empty record"
+
+(* a record body with one edit, resealed with a valid checksum so the
+   field readers see it (or, for the last edits, a damaged seal) *)
+let mutated_gen =
+  QCheck2.Gen.(
+    let* e =
+      event_gen
+        ~ints:(map (fun n -> n land max_int) int_gen)
+        ~times:(map (fun t -> if Float.is_finite t then t else 0.5) time_gen)
+    in
+    let body =
+      let line = Journal.encode_event e in
+      String.sub line 0 (String.rindex line ',')
+    in
+    let n = String.length body in
+    let* pos = 0 -- n in
+    let* piece =
+      oneofl
+        [ ","; " "; "-"; "+"; "0"; "00"; "1_0"; "x"; "p"; "."; "e5"; "0x"; "1e400"; "nan"; "/";
+          "99999999999999999999"; "-9223372036854775808" ]
+    in
+    let* cut = 0 -- 3 in
+    let* edit = 0 -- 5 in
+    let edited =
+      match edit with
+      | 0 -> body
+      | 1 | 2 -> String.sub body 0 pos ^ piece ^ String.sub body pos (n - pos)
+      | 3 ->
+          let rest = min n (pos + cut) in
+          String.sub body 0 pos ^ piece ^ String.sub body rest (n - rest)
+      | _ -> String.sub body 0 (max 0 (pos - cut)) ^ String.sub body pos (n - pos)
+    in
+    let sum = Record.checksum (Bytes.of_string edited) ~pos:0 ~len:(String.length edited) in
+    let* seal =
+      frequency
+        [ (8, return (Printf.sprintf ",~%04x" sum)); (1, return (Printf.sprintf ",~%04X" sum));
+          (1, return ",~12_3"); (1, return ",~zz"); (1, return "");
+          (1, return (Printf.sprintf ",~%04x" ((sum + 1) land 0xffff))) ]
+    in
+    let* version = frequency [ (5, return 2); (1, return 1) ] in
+    return (version, edited ^ seal))
+
+let prop_reader_matches_reference =
+  QCheck2.Test.make ~name:"the in-place record reader matches the field-list reader"
+    ~count:20000
+    ~print:(fun (v, l) -> Printf.sprintf "v%d %S" v l)
+    mutated_gen
+    (fun (version, line) ->
+      match (Record.decode_event ~version line, ref_decode ~version line) with
+      | Ok a, Ok b ->
+          Journal.equal_event a b
+          && Int64.equal (bits (Journal.event_time a)) (bits (Journal.event_time b))
+      | Error a, Error b -> String.equal a b || QCheck2.Test.fail_reportf "%S vs %S" a b
+      | Ok _, Error b -> QCheck2.Test.fail_reportf "accepted, reference says %S" b
+      | Error a, Ok _ -> QCheck2.Test.fail_reportf "%S, reference accepts" a)
+
+(* {2 Batch against line} *)
+
+let request_gen =
+  QCheck2.Gen.(
+    let tenant = oneofl [ ""; "t1 "; "t2 "; "default " ] in
+    let time i =
+      let t = float_of_int i *. 0.25 in
+      oneof
+        [
+          return (Printf.sprintf "%.4f" t);
+          return (Printf.sprintf "%g" t);
+          return (Printf.sprintf "%.17g" t);
+          return (Printf.sprintf "+%g" t);
+          return "0";
+        ]
+    in
+    let size =
+      oneof [ map string_of_int (1 -- 60); map string_of_int (90 -- 150); return "+5"; return "05" ]
+    in
+    let sizes =
+      oneof
+        [
+          map2 (Printf.sprintf "%s,%s") size size;
+          size;
+          map3 (Printf.sprintf "%s,%s,%s") size size size;
+        ]
+    in
+    let item = oneof [ map string_of_int (0 -- 40); return "-0"; return "+7"; return "x" ] in
+    let malformed =
+      oneofl
+        [ "ARRIVE newt 1.0 5 abc"; "ARRIVE t3 1.0 5 1,x"; "ARRIVE bad/t 1 2 3,3";
+          "DEPART t1 nan 3"; "DEPART"; "ARRIVE 1 2"; "DEPART t9 1.0 x"; "ARRIVE t1 1 2 5,,5";
+          "ARRIVE\r1 2 3"; "DEPART t1 1.0 1234567890123456789"; "ARRIVE t1 inf 3 5,5";
+          "ARRIVE t1 1e400 4 5,5"; "BOGUS"; ""; " ARRIVE 1 50 5,5"; "ARRIVE  t2  1  51  5,5 " ]
+    in
+    fun i ->
+      frequency
+        [
+          (5, map3 (fun tn t (id, sz) -> Printf.sprintf "ARRIVE %s%s %s %s" tn t id sz)
+                tenant (time i) (pair item sizes));
+          (3, map3 (fun tn t id -> Printf.sprintf "DEPART %s%s %s" tn t id) tenant (time i) item);
+          (2, malformed);
+          (1, return "STATS");
+          (1, map2 (fun tn id -> Printf.sprintf "ARRIVE %s%d %d 5,5\r" tn i id) tenant (0 -- 40));
+        ])
+
+let mix_gen =
+  QCheck2.Gen.(
+    let* n = 1 -- 60 in
+    let rec lines i acc =
+      if i = n then return (Array.of_list (List.rev acc))
+      else
+        let* l = request_gen i in
+        lines (i + 1) (l :: acc)
+    in
+    let* mix = lines 0 [] in
+    let* cuts = list_size (0 -- 4) (0 -- n) in
+    return (mix, List.sort_uniq compare cuts))
+
+let served ~dir ~name ~jobs =
+  ok_or_fail
+    (Server.create ~metrics:(Metrics.noop ())
+       {
+         Server.policy = "mtf";
+         seed = 7;
+         capacity = Vec.of_list [ 100; 100 ];
+         journal = Some (Filename.concat dir name);
+         snapshot = None;
+         snapshot_every = None;
+         fsync_every = 16;
+         jobs;
+         segment_bytes = None;
+         retain_segments = None;
+       })
+
+(* every file of the journal called [name], keyed by what follows it *)
+let journal_files dir name =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix:(name ^ ".") f)
+  |> List.sort compare
+  |> List.map (fun f ->
+         let ic = open_in_bin (Filename.concat dir f) in
+         let text = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         (String.sub f (String.length name) (String.length f - String.length name), text))
+
+let in_batches s lines cuts =
+  let bounds = (0 :: cuts) @ [ Array.length lines ] in
+  let rec go acc = function
+    | a :: (b :: _ as rest) ->
+        let replies = Server.handle_batch s (Array.sub lines a (b - a)) in
+        go (acc @ Array.to_list (Array.map fst replies)) rest
+    | [ _ ] | [] -> acc
+  in
+  go [] bounds
+
+let prop_batch_matches_line =
+  QCheck2.Test.make ~name:"handle_batch (whole, split, jobs 1 and 4) matches handle_line"
+    ~count:150
+    ~print:(fun (mix, cuts) ->
+      String.concat "\n" (Array.to_list (Array.map (Printf.sprintf "%S") mix))
+      ^ "\ncuts: " ^ String.concat "," (List.map string_of_int cuts))
+    mix_gen
+    (fun (mix, cuts) ->
+      with_tmp_dir (fun dir ->
+          let line = served ~dir ~name:"line" ~jobs:1 in
+          let whole = served ~dir ~name:"whole" ~jobs:1 in
+          let split = served ~dir ~name:"split" ~jobs:1 in
+          let wide = served ~dir ~name:"wide" ~jobs:4 in
+          let want = Array.to_list (Array.map (fun l -> fst (Server.handle_line line l)) mix) in
+          let runs =
+            [
+              ("whole", whole, Array.to_list (Array.map fst (Server.handle_batch whole mix)));
+              ("split", split, in_batches split mix cuts);
+              ("jobs 4", wide, Array.to_list (Array.map fst (Server.handle_batch wide mix)));
+            ]
+          in
+          let fingerprints s =
+            List.map
+              (fun (n, sess) -> (n, Dvbp_engine.Session.fingerprint sess))
+              (Server.sessions s)
+          in
+          List.iter Server.close [ line; whole; split; wide ];
+          List.iter
+            (fun (what, s, replies) ->
+              if replies <> want then QCheck2.Test.fail_reportf "%s: replies differ" what;
+              if Server.metrics s <> Server.metrics line then
+                QCheck2.Test.fail_reportf "%s: metrics differ" what;
+              if tenant_names s <> tenant_names line then
+                QCheck2.Test.fail_reportf "%s: tenants %s, not %s" what
+                  (String.concat ";" (tenant_names s))
+                  (String.concat ";" (tenant_names line));
+              if fingerprints s <> fingerprints line then
+                QCheck2.Test.fail_reportf "%s: fingerprints differ" what)
+            runs;
+          let want_files = journal_files dir "line" in
+          List.iter
+            (fun name ->
+              if journal_files dir name <> want_files then
+                QCheck2.Test.fail_reportf "%s: journal files differ" name)
+            [ "whole"; "split"; "wide" ];
+          true))
+
+(* {2 Allocation budget} *)
+
+(* two tenants, as the served benchmark sends them: 32 items live per
+   tenant; once full, each departure comes at the instant of the
+   tenant's next arrival *)
+let budget_lines n =
+  let rng = Dvbp_prelude.Rng.create ~seed:5 in
+  let live = Array.make 2 [] and next = Array.make 2 0 and departed = Array.make 2 false in
+  Array.init n (fun i ->
+      let t = i mod 2 in
+      let tenant = if t = 0 then "t0" else "t1" in
+      let time = float_of_int next.(t) *. 0.3125 in
+      if List.length live.(t) = 32 && not departed.(t) then begin
+        let victim = List.nth live.(t) (Dvbp_prelude.Rng.int rng 32) in
+        live.(t) <- List.filter (( <> ) victim) live.(t);
+        departed.(t) <- true;
+        Printf.sprintf "DEPART %s %.4f %d" tenant time victim
+      end
+      else begin
+        let id = next.(t) in
+        next.(t) <- id + 1;
+        live.(t) <- id :: live.(t);
+        departed.(t) <- false;
+        Printf.sprintf "ARRIVE %s %.4f %d %d,%d" tenant time id
+          (1 + Dvbp_prelude.Rng.int rng 100)
+          (1 + Dvbp_prelude.Rng.int rng 100)
+      end)
+
+let budget_tests =
+  [
+    Alcotest.test_case "a 16,384-line batch allocates at most 48 minor words per event" `Quick
+      (fun () ->
+        let s =
+          ok_or_fail
+            (Server.create
+               {
+                 Server.policy = "mtf";
+                 seed = 7;
+                 capacity = Vec.of_list [ 100; 100 ];
+                 journal = None;
+                 snapshot = None;
+                 snapshot_every = None;
+                 fsync_every = 1 lsl 20;
+                 jobs = 1;
+                 segment_bytes = None;
+                 retain_segments = None;
+               })
+        in
+        let n = 16_384 in
+        let lines = budget_lines (2 * n) in
+        (* the first half warms both tenants and their tables up *)
+        ignore (Server.handle_batch s (Array.sub lines 0 n));
+        let batch = Array.sub lines n n in
+        let w0 = Gc.minor_words () in
+        let replies = Server.handle_batch s batch in
+        let words = (Gc.minor_words () -. w0) /. float_of_int n in
+        let refused =
+          Array.to_list replies
+          |> List.filter (fun (r, _) -> not (String.starts_with ~prefix:"PLACED" r || r = "OK"))
+        in
+        Alcotest.(check (list string)) "every request applied" [] (List.map fst refused);
+        Printf.printf "%.1f minor words per event\n" words;
+        if words > 48.0 then Alcotest.failf "%.1f minor words per event" words);
+  ]
+
 let suites =
   [
     ( "service.record",
@@ -601,6 +1076,11 @@ let suites =
       @ buf_tests );
     ("service.golden", golden_tests);
     ("service.writer", writer_tests);
-    ("service.protocol", kind_tests @ parser_tests);
+    ("service.protocol", kind_tests @ parser_tests @ phantom_tests @ decimal_corpus_tests);
+    ( "service.columns",
+      List.map qcheck
+        [ prop_decimal_time; prop_hex_time; prop_reader_matches_reference;
+          prop_batch_matches_line ]
+      @ budget_tests );
     ("tracestore.crc32", crc_tests);
   ]
